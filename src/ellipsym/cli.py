@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from typing import Optional
@@ -97,7 +98,27 @@ def _resolve_columns(columns, names, width: int) -> list:
 
 
 def _numeric_matrix(names, rows, selection) -> np.ndarray:
-    """Parse the selected cells into a float matrix with located errors."""
+    """Parse the selected cells into a float matrix with located errors.
+
+    When every row has the same width, the selected cells are converted in
+    one step (numpy parses each string with ``float``).  A cell that fails
+    there, a non-finite value or a ragged row sends the table through the
+    per-cell loop of :func:`_located_matrix`, which names the first fault.
+    """
+    width = len(rows[0])
+    if all(len(row) == width for row in rows):
+        try:
+            X = np.array(list(map(operator.itemgetter(*selection), rows)), dtype=float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(X).all():
+                return X.reshape(len(rows), len(selection))
+    return _located_matrix(names, rows, selection)
+
+
+def _located_matrix(names, rows, selection) -> np.ndarray:
+    """Parse cell by cell, raising on the first fault with its row and column."""
     width = len(rows[0])
     X = np.empty((len(rows), len(selection)))
     for i, row in enumerate(rows, start=1):

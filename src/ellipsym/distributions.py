@@ -14,9 +14,8 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import special
 
-from .exceptions import DomainError, UsageError
+from .exceptions import DomainError, NumericError, UsageError
 from .linalg import sym_sqrt
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -26,13 +25,67 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 NORMAL_PDF_AT_ZERO = 1.0 / _SQRT_2PI
 
 
+#: relative stopping tolerance of the incomplete-gamma series and fraction
+_GAMMA_EPS = 2.0**-53
+#: floor that keeps the Lentz iterates away from zero
+_GAMMA_TINY = 1e-300
+_GAMMA_MAX_TERMS = 10_000
+
+
+def _gamma_tails(a: float, x: float) -> tuple[float, float]:
+    """(P, Q), the regularized lower and upper incomplete gamma at x >= 0.
+
+    Below x = a + 1 the power series gives P and Q = 1 - P; from there on
+    the continued fraction, evaluated by the modified Lentz method, gives Q
+    and P = 1 - Q.  Either way the smaller tail carries no cancellation,
+    and both share the prefactor exp(-x + a log x - lgamma(a)), so a tail
+    beyond the double range comes out as exactly 0.0.
+    """
+    if x == 0.0:
+        return 0.0, 1.0
+    if x == math.inf:
+        return 1.0, 0.0
+    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        for _ in range(_GAMMA_MAX_TERMS):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if term < total * _GAMMA_EPS:
+                p = prefactor * total
+                return p, 1.0 - p
+    else:
+        b = x + 1.0 - a
+        c = 1.0 / _GAMMA_TINY
+        d = 1.0 / b
+        h = d
+        for i in range(1, _GAMMA_MAX_TERMS):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < _GAMMA_TINY:
+                d = _GAMMA_TINY
+            c = b + an / c
+            if abs(c) < _GAMMA_TINY:
+                c = _GAMMA_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < _GAMMA_EPS:
+                q = prefactor * h
+                return 1.0 - q, q
+    raise NumericError(f"incomplete gamma did not converge at a={a}, x={x}")
+
+
 def chi2_cdf(x: float, df: float) -> float:
     """Chi-squared CDF (regularized incomplete gamma)."""
     if df <= 0:
         raise UsageError(f"df must be positive, got {df}")
     if x < 0:
         raise UsageError(f"chi2_cdf requires x >= 0, got {x}")
-    return float(special.chdtr(df, x))
+    return _gamma_tails(float(df) / 2.0, float(x) / 2.0)[0]
 
 
 def chi2_sf(x: float, df: float) -> float:
@@ -41,11 +94,17 @@ def chi2_sf(x: float, df: float) -> float:
         raise UsageError(f"df must be positive, got {df}")
     if x < 0:
         raise UsageError(f"chi2_sf requires x >= 0, got {x}")
-    return float(special.chdtrc(df, x))
+    return _gamma_tails(float(df) / 2.0, float(x) / 2.0)[1]
 
 
 def chi2_quantile(p: float, df: float) -> float:
-    """Inverse chi-squared CDF for p in the open interval (0, 1)."""
+    """Inverse chi-squared CDF for p in the open interval (0, 1).
+
+    The one function of the package that needs scipy, imported here so that
+    importing ellipsym does not load it.
+    """
+    from scipy import special
+
     if df <= 0:
         raise UsageError(f"df must be positive, got {df}")
     if not 0.0 < p < 1.0:

@@ -40,6 +40,20 @@ def validate_sample(X) -> NDArray[np.float64]:
     return A
 
 
+_OVERFLOW_MESSAGE = (
+    "the data's magnitude overflows the second-moment matrix; rescale the data"
+)
+
+
+def _second_moment(W, denominator) -> NDArray[np.float64]:
+    """W'W / denominator, refusing data whose squares overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = W.T @ W / denominator
+    if not np.all(np.isfinite(S)):
+        raise DomainError(_OVERFLOW_MESSAGE)
+    return S
+
+
 def sample_mean(X) -> NDArray[np.float64]:
     """Arithmetic mean of the rows."""
     return validate_sample(X).mean(axis=0)
@@ -58,14 +72,14 @@ def sample_cov(X, denominator: str = "n") -> NDArray[np.float64]:
     ------
     DomainError
         If the result is rank deficient (smallest eigenvalue at or below
-        ``SPD_RTOL`` times the largest).
+        ``SPD_RTOL`` times the largest) or overflows.
     """
     A = validate_sample(X)
     if denominator not in ("n", "n-1"):
         raise UsageError(f"denominator must be 'n' or 'n-1', got {denominator!r}")
     n = A.shape[0]
     W = A - A.mean(axis=0)
-    S = W.T @ W / (n if denominator == "n" else n - 1)
+    S = _second_moment(W, n if denominator == "n" else n - 1)
     vals = np.linalg.eigvalsh(S)
     if vals[0] <= SPD_RTOL * vals[-1] or vals[-1] <= 0.0:
         raise DomainError(
@@ -96,7 +110,9 @@ def tyler_scatter(
     Raises
     ------
     DomainError
-        If an observation coincides with ``location``.
+        If an observation coincides with ``location`` (its squared norm is
+        at most ``ZERO_NORM_TOL**2`` times the largest), or if the
+        second-moment matrix overflows.
     ConvergenceError
         If the residual has not dropped below ``tol`` after ``max_iter``
         iterations; the message carries the last residual.
@@ -109,11 +125,16 @@ def tyler_scatter(
         )
     n, d = A.shape
     W = A - theta
+    V = _second_moment(W, n)
     sq = np.einsum("ij,ij->i", W, W)
-    if np.any(sq < ZERO_NORM_TOL**2):
-        raise DomainError("an observation coincides with the location (norm < 1e-12)")
+    if not np.isfinite(sq.max()):  # one norm can overflow while W'W does not
+        raise DomainError(_OVERFLOW_MESSAGE)
+    if np.any(sq <= ZERO_NORM_TOL**2 * sq.max()):
+        raise DomainError(
+            "an observation coincides with the location "
+            "(norm <= 1e-12 times the largest)"
+        )
 
-    V = W.T @ W / n
     V *= d / np.trace(V)
     resid = np.inf
     for _ in range(max_iter):

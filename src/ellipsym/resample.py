@@ -2,9 +2,10 @@
 
 Each replicate r gets its own Generator seeded from SeedSequence((seed, r)),
 so the reference sample never depends on the worker count or the completion
-order.  A replicate whose statistic fails (singular resample, say) is retried
-once with SeedSequence((seed, r, 1)); a second failure is a hard error naming
-the replicate.
+order.  A replicate whose statistic fails numerically (an EllipsymError such
+as a singular resample, an ArithmeticError or a LinAlgError) is retried once
+with SeedSequence((seed, r, 1)); a second failure is a hard error naming the
+replicate.  Any other exception is a programming error and propagates as is.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import NumericError, UsageError
+from .exceptions import EllipsymError, NumericError, UsageError
 
 #: sentinel for "use every core but one" (at least one).
 ALL_BUT_ONE = -1
@@ -78,7 +79,7 @@ def run_replicates(
             try:
                 values[r] = float(statistic(generate(rng)))
                 return
-            except Exception as exc:  # noqa: BLE001 - converted below
+            except (EllipsymError, ArithmeticError, np.linalg.LinAlgError) as exc:
                 if retry == 1:
                     raise NumericError(
                         f"replicate {r} failed twice: {exc}"

@@ -10,8 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ellipsym import NullLaw, sample_mvn
+from ellipsym import EllipsymError, NullLaw, sample_mvn
+from ellipsym import cli
 from ellipsym.cli import (
+    _located_matrix,
+    _numeric_matrix,
+    _resolve_columns,
     format_text_block,
     ingest_csv,
     main,
@@ -85,6 +89,52 @@ def test_ingest_error_messages(tmp_path):
     with pytest.raises(Exception, match="unknown column"):
         ingest_csv(write_csv(tmp_path / "c.csv", [["1", "2"]] * 6, header=["a", "b"]),
                    columns=["zz"])
+
+
+# (csv text, has header, columns, expected message or None for a matrix)
+PARSE_CASES = {
+    "quoted": ('a,b\n"1.5","2"\n"3",4\n', True, None, None),
+    "whitespace": ("a,b\n 1 ,\t2\n3 , 4 \n", True, None, None),
+    "signs": ("a,b\n+2,-0\n-0.0,+1e3\n", True, None, None),
+    "subnormal": ("a,b\n1e-320,1\n2,3\n", True, None, None),
+    "underscore": ("a,b\n1_000,2\n3,4\n", True, None, None),
+    "unselected_text": ("a,name,b\n1,x,2\n3,y,4\n", True, ["a", "b"], None),
+    "one_column": ("a,b\n1,2\n3,4\n", True, ["b"], None),
+    "no_header": ("1,2\n3,4\n", False, None, None),
+    "NA": ("a,b\n1,2\n3,NA\n", True, None, "missing value at row 2, column b"),
+    "NaN": ("a,b\n1,2\n3,NaN\n", True, None, "missing value at row 2, column b"),
+    "inf": ("a,b\n1,2\n3,inf\n", True, None, "non-finite value at row 2, column b"),
+    "empty": ("a,b\n1,2\n3,\n", True, None, "missing value at row 2, column b"),
+    "abc": ("a,b\n1,2\n3,abc\n", True, None,
+            "non-numeric value 'abc' at row 2, column b"),
+    "ragged": ("a,b\n1,2\n3\n5,6\n", True, None, "row 2 has 1 fields, expected 2"),
+    "abc_before_ragged": ("1,2\nabc,4\n5\n", False, None,
+                          "non-numeric value 'abc' at row 2, column 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+def test_bulk_parse_matches_cell_loop(tmp_path, monkeypatch, case):
+    text, has_header, columns, message = PARSE_CASES[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    names, rows = read_table(str(path), has_header)
+    selection = _resolve_columns(columns, names, len(rows[0]))
+    if message is None:
+        loop = _located_matrix(names, rows, selection)
+
+        def no_fallback(*args):
+            raise AssertionError("the bulk conversion fell back to the cell loop")
+
+        monkeypatch.setattr(cli, "_located_matrix", no_fallback)
+        bulk = _numeric_matrix(names, rows, selection)
+        assert bulk.shape == loop.shape == (len(rows), len(selection))
+        assert bulk.tobytes() == loop.tobytes()  # bit for bit, signed zeros too
+    else:
+        for parse in (_numeric_matrix, _located_matrix):
+            with pytest.raises(EllipsymError) as exc:
+                parse(names, rows, selection)
+            assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +215,22 @@ def test_data_error_exits_1(tmp_path, capsys):
     assert main(["test", "--method", "schott", "--input", p]) == 1
     err = capsys.readouterr().err
     assert "row 2" in err and "column b" in err
+
+
+def test_overflowing_data_exits_1(tmp_path):
+    X = sample_mvn(np.zeros(3), np.eye(3), 60, seed=1) * 1e160
+    p = write_csv(tmp_path / "big.csv", [[f"{v:.17g}" for v in row] for row in X],
+                  header=["a", "b", "c"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellipsym.cli", "test", "--method", "schott",
+         "--input", p],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1  # no traceback, no warning
+    assert proc.stderr.startswith("ellipsym: error:") and "overflows" in proc.stderr
 
 
 def test_jobs_env_fallback(monkeypatch, capsys):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from ellipsym import (
     sample_skewed,
     sample_uniform_sphere,
 )
+from ellipsym.harmonics import harmonic_dim
+from ellipsym.hypothesis import schott_df
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +33,50 @@ def test_chi2_closed_form_df2():
     for x in (0.0, 0.5, 1.7, 9.0):
         assert abs(chi2_cdf(x, 2) - (1.0 - math.exp(-x / 2))) < 1e-14
         assert abs(chi2_sf(x, 2) - math.exp(-x / 2)) < 1e-14
+
+
+def _library_dfs():
+    """Every chi-squared df the tests use for d = 2..10: pg/so, schott, mpq."""
+    dims = range(2, 11)
+    return sorted(
+        set(dims)
+        | {schott_df(d) for d in dims}
+        | {harmonic_dim(d, 3) + harmonic_dim(d, 4) for d in dims}
+    )
+
+
+def test_chi2_tails_match_scipy():
+    from scipy import special  # the reference; the package no longer imports it
+
+    worst = 0.0
+    for df in _library_dfs():
+        for x in np.geomspace(1e-4, 20 * df + 2000, 200):
+            x = float(x)
+            for ours, ref in ((chi2_sf, special.chdtrc), (chi2_cdf, special.chdtr)):
+                want = float(ref(df, x))
+                got = ours(x, df)
+                if want > 1e-300:
+                    worst = max(worst, abs(got - want) / want)
+                else:
+                    assert got <= 1e-290, (ours.__name__, df, x, got, want)
+    assert worst <= 1e-11
+
+
+def test_chi2_tails_at_zero_and_underflow():
+    for df in (2, 5, 870):
+        assert chi2_sf(0.0, df) == 1.0
+        assert chi2_cdf(0.0, df) == 0.0
+        assert chi2_sf(1e5, df) == 0.0
+        assert chi2_cdf(1e5, df) == 1.0
+    assert pvalue(NullLaw.chi2(5), 4000.0) == 0.0
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, ellipsym.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_chi2_quantile_roundtrip():

@@ -88,6 +88,26 @@ def test_tyler_rejects_bad_location(rng):
         tyler_scatter(X, X[3])  # coincides with an observation
 
 
+def test_tyler_zero_test_is_relative(rng):
+    X = rng.standard_normal((20, 2))
+    small = 2.0**-40
+    np.testing.assert_array_equal(
+        tyler_scatter(X * small, np.zeros(2)), tyler_scatter(X, np.zeros(2)) * small**2
+    )
+    with pytest.raises(DomainError):
+        tyler_scatter(X * small, X[3] * small)
+    with pytest.raises(DomainError):
+        tyler_scatter(np.ones((5, 2)), np.ones(2))  # every observation at the location
+
+
+def test_tyler_rejects_overflowing_norm(rng):
+    # W'W stays finite, but the squared norm of row 7 overflows
+    X = rng.standard_normal((60, 3))
+    X[7] = [1.2e154, -1.1e154, 1.3e154]
+    with pytest.raises(DomainError, match="overflows"):
+        tyler_scatter(X, np.zeros(3))
+
+
 def test_tyler_convergence_error(rng):
     X = sample_mvn(np.zeros(2), np.eye(2), 50, seed=2)
     with pytest.raises(ConvergenceError):

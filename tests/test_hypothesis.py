@@ -16,6 +16,7 @@ import pytest
 import naive
 from ellipsym import (
     DomainError,
+    EllipsymError,
     NullLaw,
     UsageError,
     build_basis,
@@ -254,6 +255,22 @@ def test_degenerate_sample_rejected():
         schott_test(X)
 
 
+def test_overflowing_sample_raises_typed_error():
+    # squares of entries near 1e160 overflow the second-moment matrix
+    X = sample_mvn(np.zeros(3), np.eye(3), 60, seed=1) * 1e160
+    runs = {
+        "ks": lambda: ks_test(X, R=5, seed=0, workers=1),
+        "mpq": lambda: mpq_test(X),
+        "schott": lambda: schott_test(X),
+        "hp": lambda: huffer_park_test(X, 1, R=5, seed=0, workers=1),
+        "pg": lambda: pseudo_gaussian_test(X),
+        "so": lambda: skew_optimal_test(X),
+    }
+    for method, run in runs.items():
+        with pytest.raises(EllipsymError, match="overflows"):
+            run()
+
+
 # ---------------------------------------------------------------------------
 # reproducibility and invariance
 # ---------------------------------------------------------------------------
@@ -284,6 +301,14 @@ def test_rotation_invariance_spot_check(golden_20x2):
     pg0 = pseudo_gaussian_test(X).statistic
     pg1 = pseudo_gaussian_test(XQ).statistic
     assert abs(pg1 - pg0) / pg0 > 1e-3
+
+
+@pytest.mark.parametrize("power", [-200, -40, 40])
+def test_pg_so_exact_under_power_of_two_scaling(power):
+    X = sample_mvn(np.zeros(3), np.eye(3), 150, seed=3)
+    Y = X * 2.0**power
+    assert pseudo_gaussian_test(Y).statistic == pseudo_gaussian_test(X).statistic
+    assert skew_optimal_test(Y).statistic == skew_optimal_test(X).statistic
 
 
 def test_hp_triangular_invariance(golden_40x2):

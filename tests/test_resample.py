@@ -93,3 +93,20 @@ def test_double_failure_is_fatal():
     plan = BootstrapPlan(R=3, seed=1, workers=1)
     with pytest.raises(NumericError, match="replicate 0"):
         run_replicates(plan, generate, statistic)
+
+
+def test_programming_error_is_not_retried():
+    raised = []
+
+    def generate(rng):
+        return rng.uniform(size=2)
+
+    def statistic(x):
+        raised.append(TypeError("not a numeric failure"))
+        raise raised[-1]
+
+    plan = BootstrapPlan(R=3, seed=1, workers=1)
+    with pytest.raises(TypeError) as exc:
+        run_replicates(plan, generate, statistic)
+    assert len(raised) == 1
+    assert exc.value is raised[0]
