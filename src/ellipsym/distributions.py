@@ -29,6 +29,8 @@ NORMAL_PDF_AT_ZERO = 1.0 / _SQRT_2PI
 _GAMMA_EPS = 2.0**-53
 #: floor that keeps the Lentz iterates away from zero
 _GAMMA_TINY = 1e-300
+#: term limit at small a; near x = a both expansions need about
+#: 8.6 * sqrt(a) terms, so the limit grows by 20 * sqrt(a)
 _GAMMA_MAX_TERMS = 10_000
 
 
@@ -39,17 +41,20 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
     the continued fraction, evaluated by the modified Lentz method, gives Q
     and P = 1 - Q.  Either way the smaller tail carries no cancellation,
     and both share the prefactor exp(-x + a log x - lgamma(a)), so a tail
-    beyond the double range comes out as exactly 0.0.
+    beyond the double range comes out as exactly 0.0.  The exponent of
+    the prefactor cancels as a grows, which bounds the accuracy (see
+    :func:`chi2_cdf`).
     """
     if x == 0.0:
         return 0.0, 1.0
     if x == math.inf:
         return 1.0, 0.0
     prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    max_terms = _GAMMA_MAX_TERMS + int(20.0 * math.sqrt(a))
     if x < a + 1.0:
         term = total = 1.0 / a
         ap = a
-        for _ in range(_GAMMA_MAX_TERMS):
+        for _ in range(max_terms):
             ap += 1.0
             term *= x / ap
             total += term
@@ -61,7 +66,7 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
         c = 1.0 / _GAMMA_TINY
         d = 1.0 / b
         h = d
-        for i in range(1, _GAMMA_MAX_TERMS):
+        for i in range(1, max_terms):
             an = -i * (i - a)
             b += 2.0
             d = an * d + b
@@ -80,7 +85,12 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
 
 
 def chi2_cdf(x: float, df: float) -> float:
-    """Chi-squared CDF (regularized incomplete gamma)."""
+    """Chi-squared CDF (regularized incomplete gamma).
+
+    Relative error about 1e-12 for df up to 2000 and 1e-11 at df = 1e4,
+    growing in proportion to df beyond (about 1e-9 at df = 1e6); the
+    package's own dfs are at most 870 for d <= 10.
+    """
     if df <= 0:
         raise UsageError(f"df must be positive, got {df}")
     if x < 0:
@@ -89,7 +99,10 @@ def chi2_cdf(x: float, df: float) -> float:
 
 
 def chi2_sf(x: float, df: float) -> float:
-    """Chi-squared survival function, 1 - CDF, computed without cancellation."""
+    """Chi-squared survival function, 1 - CDF, computed without cancellation.
+
+    Accuracy as for :func:`chi2_cdf`.
+    """
     if df <= 0:
         raise UsageError(f"df must be positive, got {df}")
     if x < 0:

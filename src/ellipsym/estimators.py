@@ -111,8 +111,8 @@ def tyler_scatter(
     ------
     DomainError
         If an observation coincides with ``location`` (its squared norm is
-        at most ``ZERO_NORM_TOL**2`` times the largest), or if the
-        second-moment matrix overflows.
+        at most ``ZERO_NORM_TOL**2`` times the median, a scale that one gross
+        outlier cannot move), or if the second-moment matrix overflows.
     ConvergenceError
         If the residual has not dropped below ``tol`` after ``max_iter``
         iterations; the message carries the last residual.
@@ -129,10 +129,10 @@ def tyler_scatter(
     sq = np.einsum("ij,ij->i", W, W)
     if not np.isfinite(sq.max()):  # one norm can overflow while W'W does not
         raise DomainError(_OVERFLOW_MESSAGE)
-    if np.any(sq <= ZERO_NORM_TOL**2 * sq.max()):
+    if np.any(sq <= ZERO_NORM_TOL**2 * np.median(sq)):
         raise DomainError(
             "an observation coincides with the location "
-            "(norm <= 1e-12 times the largest)"
+            "(norm <= 1e-12 times the median)"
         )
 
     V *= d / np.trace(V)

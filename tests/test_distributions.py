@@ -62,6 +62,34 @@ def test_chi2_tails_match_scipy():
     assert worst <= 1e-11
 
 
+def _lower_gamma_reference(mpmath, a, x):
+    """P(a, x) by its power series in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        term = total = mpmath.mpf(1)
+        tol = mpmath.mpf(10) ** -25
+        n = 0
+        while term > total * tol:
+            n += 1
+            term *= x / (a + n)
+            total += term
+        return total * mpmath.exp(-x + a * mpmath.log(x) - mpmath.loggamma(a + 1))
+
+
+@pytest.mark.parametrize("df", [1e6, 1e7])
+def test_chi2_tails_at_large_df(df):
+    # near x = df both expansions need O(sqrt(df)) terms, and the accuracy
+    # is the documented one, in proportion to df.  The reference is a
+    # 30-digit series: scipy's chdtr is off by 8e-9 at df = 1e6 and by 0.7%
+    # at df = 1e7, five standard deviations below the mean.
+    mpmath = pytest.importorskip("mpmath")
+    for k in (-6.0, -3.0, 0.0, 3.0, 6.0):
+        x = df + k * math.sqrt(2.0 * df)
+        lower = _lower_gamma_reference(mpmath, df / 2, x / 2)
+        for got, want in ((chi2_cdf(x, df), lower), (chi2_sf(x, df), 1 - lower)):
+            assert abs(got - want) <= 2e-15 * df * want, (x, got, want)
+
+
 def test_chi2_tails_at_zero_and_underflow():
     for df in (2, 5, 870):
         assert chi2_sf(0.0, df) == 1.0

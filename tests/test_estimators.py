@@ -6,9 +6,11 @@ from ellipsym import (
     ConvergenceError,
     DomainError,
     UsageError,
+    pseudo_gaussian_test,
     sample_cov,
     sample_mean,
     sample_mvn,
+    skew_optimal_test,
     tyler_scatter,
     validate_sample,
 )
@@ -98,6 +100,17 @@ def test_tyler_zero_test_is_relative(rng):
         tyler_scatter(X * small, X[3] * small)
     with pytest.raises(DomainError):
         tyler_scatter(np.ones((5, 2)), np.ones(2))  # every observation at the location
+
+
+def test_tyler_zero_test_ignores_one_gross_outlier(rng):
+    # a row 1e6 times the others must not make a row at norm 1e-7 from a
+    # given location "coincide" with it
+    X = rng.standard_normal((150, 3))
+    X[0, 0] = 1e6
+    X[1] = [1e-7, 0.0, 0.0]
+    assert np.all(np.isfinite(tyler_scatter(X, np.zeros(3))))
+    for test in (pseudo_gaussian_test, skew_optimal_test):
+        assert np.isfinite(test(X, location=np.zeros(3)).statistic)
 
 
 def test_tyler_rejects_overflowing_norm(rng):
