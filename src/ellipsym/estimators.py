@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import ConvergenceError, DomainError, UsageError
+from .exceptions import ConvergenceError, DomainError, NumericError, UsageError
 from .linalg import SPD_RTOL, sym_inv_sqrt
 
 ZERO_NORM_TOL = 1e-12
@@ -46,12 +46,27 @@ _OVERFLOW_MESSAGE = (
 
 
 def _second_moment(W, denominator) -> NDArray[np.float64]:
-    """W'W / denominator, refusing data whose squares overflow."""
+    """W'W / denominator for W of shape (..., n, d), refusing overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        S = W.T @ W / denominator
+        S = np.swapaxes(W, -1, -2) @ W / denominator
     if not np.all(np.isfinite(S)):
         raise DomainError(_OVERFLOW_MESSAGE)
     return S
+
+
+def _centered_cov(A, denominator):
+    """(W, S) for each sample of a (..., n, d) stack: the residuals about the
+    sample's mean and W'W / denominator, which must be positive definite."""
+    W = A - A.mean(axis=-2, keepdims=True)
+    S = _second_moment(W, denominator)
+    vals = np.linalg.eigvalsh(S)
+    singular = (vals[..., 0] <= SPD_RTOL * vals[..., -1]) | (vals[..., -1] <= 0.0)
+    if np.any(singular):
+        vals = vals[singular][0]
+        raise DomainError(
+            f"sample covariance is singular (eigenvalues {vals[0]:.6g} .. {vals[-1]:.6g})"
+        )
+    return W, S
 
 
 def sample_mean(X) -> NDArray[np.float64]:
@@ -78,14 +93,7 @@ def sample_cov(X, denominator: str = "n") -> NDArray[np.float64]:
     if denominator not in ("n", "n-1"):
         raise UsageError(f"denominator must be 'n' or 'n-1', got {denominator!r}")
     n = A.shape[0]
-    W = A - A.mean(axis=0)
-    S = _second_moment(W, n if denominator == "n" else n - 1)
-    vals = np.linalg.eigvalsh(S)
-    if vals[0] <= SPD_RTOL * vals[-1] or vals[-1] <= 0.0:
-        raise DomainError(
-            f"sample covariance is singular (eigenvalues {vals[0]:.6g} .. {vals[-1]:.6g})"
-        )
-    return S
+    return _centered_cov(A, n if denominator == "n" else n - 1)[1]
 
 
 def tyler_scatter(
@@ -113,6 +121,9 @@ def tyler_scatter(
         If an observation coincides with ``location`` (its squared norm is
         at most ``ZERO_NORM_TOL**2`` times the median, a scale that one gross
         outlier cannot move), or if the second-moment matrix overflows.
+    NumericError
+        If an iterate is numerically singular, as when one observation is
+        many orders of magnitude farther from ``location`` than the rest.
     ConvergenceError
         If the residual has not dropped below ``tol`` after ``max_iter``
         iterations; the message carries the last residual.
@@ -138,7 +149,7 @@ def tyler_scatter(
     V *= d / np.trace(V)
     resid = np.inf
     for _ in range(max_iter):
-        q = np.einsum("ij,ji->i", W, np.linalg.solve(V, W.T))
+        q = _mahalanobis_sq(W, V)
         if np.any(q <= 0.0):
             raise DomainError("scatter iterate lost positive definiteness")
         M = (W / q[:, None]).T @ W * (d / n)
@@ -154,5 +165,15 @@ def tyler_scatter(
             f"(last residual {resid:.3e}, tol {tol:.1e})"
         )
     # scale fix: average squared Mahalanobis norm equals d
-    q = np.einsum("ij,ji->i", W, np.linalg.solve(V, W.T))
-    return V * (q.mean() / d)
+    return V * (_mahalanobis_sq(W, V).mean() / d)
+
+
+def _mahalanobis_sq(W, V) -> NDArray[np.float64]:
+    """w_i' V^{-1} w_i for each row of W, refusing a singular iterate."""
+    try:
+        return np.einsum("ij,ji->i", W, np.linalg.solve(V, W.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            "Tyler scatter iterate is numerically singular; an observation "
+            "may lie too far from the location for the fit (rescale or remove it)"
+        ) from exc

@@ -36,6 +36,7 @@ from numpy.typing import NDArray
 from .distributions import NullLaw, RadialDensity, pvalue, sample_uniform_sphere
 from .estimators import (
     ZERO_NORM_TOL,
+    _centered_cov,
     sample_cov,
     sample_mean,
     tyler_scatter,
@@ -43,7 +44,7 @@ from .estimators import (
 )
 from .exceptions import DomainError, NumericError, UsageError
 from .harmonics import build_basis, harmonic_dim
-from .linalg import gram_schmidt_root, sym_inv_sqrt, sym_sqrt
+from .linalg import sym_inv_sqrt, sym_sqrt
 from .resample import ALL_BUT_ONE, BootstrapPlan, run_replicates
 
 #: display names, keyed by the short method identifiers used everywhere else
@@ -194,7 +195,9 @@ def ks_test(
     stat = _ks_statistic(X, basis)
     generate = _null_resampler(X)
     plan = BootstrapPlan(R=R, seed=seed, workers=workers)
-    reference = run_replicates(plan, generate, lambda Xs: _ks_statistic(Xs, basis))
+    reference = run_replicates(
+        plan, generate, lambda S: [_ks_statistic(x, basis) for x in S]
+    )
     law = NullLaw.bootstrap(reference)
     return TestResult("ks", stat, pvalue(law, stat), law, params)
 
@@ -296,26 +299,26 @@ def schott_test(X) -> TestResult:
 
 
 def _lex_ranks(perms: NDArray[np.int64]) -> NDArray[np.int64]:
-    """Lexicographic rank of each row among all permutations of 0..d-1."""
-    n, d = perms.shape
-    ranks = np.zeros(n, dtype=np.int64)
+    """Lexicographic rank of each permutation of 0..d-1 along the last axis."""
+    d = perms.shape[-1]
+    ranks = np.zeros(perms.shape[:-1], dtype=np.int64)
     for i in range(d - 1):
-        smaller_after = np.sum(perms[:, i + 1 :] < perms[:, i : i + 1], axis=1)
+        smaller_after = np.sum(perms[..., i + 1 :] < perms[..., i : i + 1], axis=-1)
         ranks += smaller_after * math.factorial(d - 1 - i)
     return ranks
 
 
 def _hp_sectors(Y, sector: str, g: int) -> NDArray[np.int64]:
-    n, d = Y.shape
+    d = Y.shape[-1]
     if sector == "orthants":
         neg = Y < 0.0
         return neg @ (1 << np.arange(d, dtype=np.int64))
     if sector == "permutations":
-        order = np.argsort(Y, axis=1, kind="stable")
+        order = np.argsort(Y, axis=-1, kind="stable")
         return _lex_ranks(order)
     # bivariate angles (d == 2): g equal arcs starting at angle zero,
     # with an exact arc boundary assigned to the lower arc
-    phi = np.mod(np.arctan2(Y[:, 1], Y[:, 0]), 2.0 * math.pi)
+    phi = np.mod(np.arctan2(Y[..., 1], Y[..., 0]), 2.0 * math.pi)
     scaled = phi * g / (2.0 * math.pi)
     m = np.floor(scaled)
     m[(scaled == m) & (scaled > 0.0)] -= 1.0
@@ -328,13 +331,35 @@ def _hp_shells(norms, c: int) -> NDArray[np.int64]:
     When n is not a multiple of c the remainder is spread one extra
     observation per shell starting from the innermost shell.
     """
-    n = norms.shape[0]
-    order = np.argsort(norms, kind="stable")
+    n = norms.shape[-1]
+    order = np.argsort(norms, axis=-1, kind="stable")
     base, rem = divmod(n, c)
-    sizes = base + (np.arange(c) < rem)
-    shells = np.empty(n, dtype=np.int64)
-    shells[order] = np.repeat(np.arange(c), sizes)
+    labels = np.repeat(np.arange(c), base + (np.arange(c) < rem))
+    shells = np.empty_like(order)
+    np.put_along_axis(shells, order, np.broadcast_to(labels, order.shape), axis=-1)
     return shells
+
+
+def _hp_tables(S, c: int, sector: str, g: int) -> NDArray[np.int64]:
+    """``hp_counts`` of each sample in a (k, n, d) stack, shape (k, g, c).
+
+    The covariances get ``sample_cov``'s checks; the Gram-Schmidt root is
+    the inverse Cholesky factor, as in ``gram_schmidt_root``.
+    """
+    k, n, d = S.shape
+    W, cov = _centered_cov(S, n)
+    root = np.linalg.solve(np.linalg.cholesky(cov), np.eye(d))
+    Y = W @ np.swapaxes(root, -1, -2)
+    cells = _hp_sectors(Y, sector, g) * c + _hp_shells(np.linalg.norm(Y, axis=-1), c)
+    cells += np.arange(k)[:, None] * (g * c)
+    return np.bincount(cells.ravel(), minlength=k * g * c).reshape(k, g, c)
+
+
+def _hp_pearson(tables) -> NDArray[np.float64]:
+    """Pearson statistic of each (g, c) table in a (k, g, c) stack."""
+    k, g, c = tables.shape
+    expected = tables[0].sum() / (g * c)
+    return np.sum((tables.reshape(k, -1) - expected) ** 2, axis=1) / expected
 
 
 def hp_counts(X, c: int, sector: str = "orthants", g: Optional[int] = None):
@@ -347,14 +372,7 @@ def hp_counts(X, c: int, sector: str = "orthants", g: Optional[int] = None):
     X = validate_sample(X)
     n, d = X.shape
     c, g, sector = _hp_check(n, d, c, sector, g)
-    theta = sample_mean(X)
-    root = gram_schmidt_root(sample_cov(X, denominator="n"))
-    Y = (X - theta) @ root.T
-    counts = np.bincount(
-        _hp_sectors(Y, sector, g) * c + _hp_shells(np.linalg.norm(Y, axis=1), c),
-        minlength=g * c,
-    ).reshape(g, c)
-    return counts
+    return _hp_tables(X[None], c, sector, g)[0]
 
 
 def _hp_check(n, d, c, sector, g):
@@ -387,11 +405,7 @@ def _hp_check(n, d, c, sector, g):
 
 
 def _hp_statistic(X, c: int, sector: str, g: int) -> float:
-    n = X.shape[0]
-    counts = hp_counts(X, c, sector=sector, g=None if sector != "bivariateangles" else g)
-    gg, cc = counts.shape
-    expected = n / (gg * cc)
-    return float(np.sum((counts - expected) ** 2) / expected)
+    return float(_hp_pearson(_hp_tables(X[None], c, sector, g))[0])
 
 
 def huffer_park_test(
@@ -428,26 +442,23 @@ def huffer_park_test(
         warnings.warn(msg, stacklevel=2)
         params["warning"] = msg
 
-    counts = hp_counts(X, c, sector=sector, g=g)
-    expected = n / (g_eff * c)
-    stat = float(np.sum((counts - expected) ** 2) / expected)
-    params["counts"] = counts
+    tables = _hp_tables(X[None], c, sector, g_eff)
+    stat = float(_hp_pearson(tables)[0])
+    params["counts"] = tables[0]
+
+    def statistics(S):
+        return _hp_pearson(_hp_tables(S, c, sector, g_eff))
 
     if R is not None:
         params["R"] = R
-        generate = _null_resampler(X)
         plan = BootstrapPlan(R=R, seed=seed, workers=workers)
-        reference = run_replicates(
-            plan, generate, lambda Xs: _hp_statistic(Xs, c, sector, g_eff)
-        )
+        reference = run_replicates(plan, _null_resampler(X), statistics)
         law = NullLaw.bootstrap(reference)
     else:
         params["calibration_sims"] = HP_CALIBRATION_SIMS
         plan = BootstrapPlan(R=HP_CALIBRATION_SIMS, seed=seed, workers=workers)
         reference = run_replicates(
-            plan,
-            lambda rng: rng.standard_normal((n, d)),
-            lambda Xs: _hp_statistic(Xs, c, sector, g_eff),
+            plan, lambda rng: rng.standard_normal((n, d)), statistics
         )
         law = NullLaw.monte_carlo(reference)
 

@@ -233,6 +233,18 @@ def test_overflowing_data_exits_1(tmp_path):
     assert proc.stderr.startswith("ellipsym: error:") and "overflows" in proc.stderr
 
 
+def test_singular_tyler_iterate_exits_1(tmp_path, capsys):
+    X = np.random.default_rng(0).standard_normal((150, 3))
+    X[0] = 1e10
+    p = write_csv(tmp_path / "gross.csv", [[f"{v:.17g}" for v in row] for row in X],
+                  header=["a", "b", "c"])
+    assert main(["test", "--method", "pg", "--input", p,
+                 "--location", "0,0,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ellipsym: error:") and "singular" in err
+
+
 def test_jobs_env_fallback(monkeypatch, capsys):
     monkeypatch.setenv("ELLIPSYM_JOBS", "abc")
     assert main(["test", "--method", "ks", "--input", GOLDEN_20,

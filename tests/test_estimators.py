@@ -5,6 +5,7 @@ import naive
 from ellipsym import (
     ConvergenceError,
     DomainError,
+    NumericError,
     UsageError,
     pseudo_gaussian_test,
     sample_cov,
@@ -119,6 +120,17 @@ def test_tyler_rejects_overflowing_norm(rng):
     X[7] = [1.2e154, -1.1e154, 1.3e154]
     with pytest.raises(DomainError, match="overflows"):
         tyler_scatter(X, np.zeros(3))
+
+
+def test_tyler_singular_iterate_is_typed(rng):
+    # one row 1e10 from the location makes an iterate numerically singular
+    X = rng.standard_normal((150, 3))
+    X[0] = 1e10
+    with pytest.raises(NumericError, match="singular"):
+        tyler_scatter(X, np.zeros(3))
+    for test in (pseudo_gaussian_test, skew_optimal_test):
+        with pytest.raises(NumericError, match="singular"):
+            test(X, location=np.zeros(3))
 
 
 def test_tyler_convergence_error(rng):

@@ -25,12 +25,20 @@ from ellipsym import (
     ks_test,
     mpq_test,
     pseudo_gaussian_test,
+    replicate_rng,
     sample_mvn,
     schott_df,
     schott_test,
     skew_optimal_test,
 )
-from ellipsym.hypothesis import METHOD_LABELS, _hp_statistic, _ks_statistic
+from ellipsym.hypothesis import (
+    HP_CALIBRATION_SIMS,
+    METHOD_LABELS,
+    _hp_statistic,
+    _ks_statistic,
+    _null_resampler,
+)
+from ellipsym.resample import BLOCK_CELLS
 
 Z2 = np.zeros(2)
 
@@ -283,6 +291,38 @@ def test_bootstrap_p_is_seed_deterministic(golden_20x2):
     assert a.p_value == b.p_value
     assert a.null_law.reference == b.null_law.reference
     assert a.p_value != c.p_value or a.null_law.reference != c.null_law.reference
+
+
+@pytest.mark.parametrize(
+    "n, d, kwargs",
+    [
+        (130, 2, {"c": 3}),
+        (130, 2, {"c": 3, "R": 300}),
+        (90, 3, {"c": 2, "sector": "permutations", "R": 200}),
+        (130, 2, {"c": 2, "sector": "bivariateangles", "g": 6, "R": 300}),
+    ],
+    ids=["orthants_monte_carlo", "orthants_bootstrap", "permutations", "bivariateangles"],
+)
+def test_hp_reference_is_block_independent(n, d, kwargs):
+    # the blocked reference equals the replicate-by-replicate statistics of
+    # the same draws, for any worker count, with a partial last block
+    X = sample_mvn(np.zeros(d), np.eye(d), n, seed=n + d)
+    R = kwargs.get("R", HP_CALIBRATION_SIMS)
+    block = BLOCK_CELLS // (n * d)
+    assert R > block and R % block != 0
+    if "R" in kwargs:
+        generate = _null_resampler(X)
+    else:
+        generate = lambda rng: rng.standard_normal((n, d))  # noqa: E731
+    c, sector = kwargs["c"], kwargs.get("sector", "orthants")
+    g = kwargs.get("g", 2**d if sector == "orthants" else math.factorial(d))
+    seed = 17
+    expected = np.sort(
+        [_hp_statistic(generate(replicate_rng(seed, r)), c, sector, g) for r in range(R)]
+    )
+    for workers in (1, 2, 8):
+        law = huffer_park_test(X, seed=seed, workers=workers, **kwargs).null_law
+        assert np.array_equal(law.reference, expected)
 
 
 def test_rotation_invariance_spot_check(golden_20x2):
