@@ -25,21 +25,14 @@ from .exceptions import (
     ParseError,
     UsageError,
 )
-from .linalg import (
-    commutation,
-    gram_schmidt_root,
-    kron,
-    sym_inv_sqrt,
-    sym_sqrt,
-    vec,
-)
+from .linalg import gram_schmidt_root, sym_inv_sqrt, sym_sqrt
 from .estimators import (
     sample_cov,
     sample_mean,
     tyler_scatter,
     validate_sample,
 )
-from .harmonics import HarmonicBasis, build_basis, eval_basis, harmonic_dim
+from .harmonics import HarmonicBasis, build_basis, harmonic_dim
 from .distributions import (
     NullLaw,
     RadialDensity,
@@ -94,13 +87,10 @@ __all__ = [
     "chi2_cdf",
     "chi2_quantile",
     "chi2_sf",
-    "commutation",
-    "eval_basis",
     "gram_schmidt_root",
     "harmonic_dim",
     "hp_counts",
     "huffer_park_test",
-    "kron",
     "ks_test",
     "mpq_test",
     "pseudo_gaussian_test",
@@ -122,6 +112,5 @@ __all__ = [
     "sym_sqrt",
     "tyler_scatter",
     "validate_sample",
-    "vec",
     "__version__",
 ]

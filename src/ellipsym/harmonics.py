@@ -25,6 +25,11 @@ The moment matrix is block diagonal across exponent-parity classes
 (moments vanish unless every coordinate's exponent parity matches), so the
 orthogonalization runs independently per class, which keeps the integer
 sizes and the run time small.
+
+Evaluation uses the same structure.  Per chunk of 2048 points the monomials
+are built degree by degree, each as its parent times one coordinate, and each
+parity class yields its functions from one small matmul with its own
+monomials, skipping the zero coefficients (155 of 3,850 at d = 4 are not).
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ from .exceptions import UsageError
 MAX_DEGREE = 4
 
 _UNIT_TOL = 1e-8
+
+#: points per evaluation chunk; the monomial table of a chunk is N x _CHUNK
+_CHUNK = 2048
 
 
 def harmonic_dim(d: int, k: int) -> int:
@@ -119,7 +127,11 @@ class HarmonicBasis:
     degrees: NDArray[np.int64]
     exponents: NDArray[np.int64]
     coefficients: NDArray[np.float64]
-    _max_exponent: int = field(repr=False, default=0)
+    # evaluation plan: runs (dst, src, length, j) meaning mono[dst:dst+length]
+    # = mono[src:src+length] * u_j, and per parity class (monomials,
+    # functions, coefficient block)
+    _steps: tuple = field(repr=False, compare=False)
+    _classes: tuple = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -140,6 +152,10 @@ class HarmonicBasis:
     ) -> NDArray[np.float64]:
         """Evaluate the basis at unit vectors.
 
+        Chunk by chunk, as the module docstring describes; each monomial is
+        a product of coordinates in a fixed order, so psi(-u) = (-1)^k psi(u)
+        holds bit for bit.
+
         Parameters
         ----------
         U : array_like, shape (n, d) or (d,)
@@ -150,7 +166,9 @@ class HarmonicBasis:
         Returns
         -------
         (n, m') array of evaluations (or (m',) for a single vector), where
-        m' counts the selected functions, in basis order.
+        m' counts the selected functions, in basis order.  The array is the
+        transpose of a C-contiguous (m', n) array, so each function's values
+        are contiguous.
         """
         A = np.asarray(U, dtype=float)
         single = A.ndim == 1
@@ -166,35 +184,28 @@ class HarmonicBasis:
                 raise UsageError(
                     f"point {i} is not on the unit sphere (norm {math.sqrt(sq[i]):.6g})"
                 )
-        if degrees is None:
-            coef = self.coefficients
-        else:
-            mask = np.isin(self.degrees, np.asarray(list(degrees)))
-            coef = self.coefficients[mask]
+        keep = np.isin(self.degrees, self.degrees if degrees is None else list(degrees))
+        column = np.cumsum(keep) - 1
+        # a selection takes rows of the full class products, so selected
+        # functions are bit-identical to those of the full evaluation
+        classes = [
+            (members, block, column[funcs[sel]], sel)
+            for members, funcs, block in self._classes
+            if (sel := keep[funcs]).any()
+        ]
         n = A.shape[0]
-        N = self.exponents.shape[0]
-        out = np.empty((n, coef.shape[0]))
-        # chunk so the monomial matrix stays ~tens of MB
-        chunk = max(1024, int(4_000_000 / max(N, 1)))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            block = A[lo:hi]
-            # per-variable power tables by repeated multiplication, which is
-            # exactly sign-symmetric (so odd/even parity holds bit for bit)
-            mon = np.ones((hi - lo, N))
-            for j in range(self.d):
-                powers = np.empty((hi - lo, self._max_exponent + 1))
-                powers[:, 0] = 1.0
-                for k in range(1, self._max_exponent + 1):
-                    np.multiply(powers[:, k - 1], block[:, j], out=powers[:, k])
-                mon *= powers[:, self.exponents[:, j]]
-            np.matmul(mon, coef.T, out=out[lo:hi])
-        return out[0] if single else out
-
-
-def eval_basis(basis: HarmonicBasis, u) -> NDArray[np.float64]:
-    """Evaluate every basis function at one unit vector."""
-    return basis.evaluate(u)
+        UT = np.ascontiguousarray(A.T)
+        mono = np.empty((self.exponents.shape[0], min(n, _CHUNK)))
+        out = np.empty((int(column[-1]) + 1, n))
+        for lo in range(0, n, _CHUNK):
+            hi = min(n, lo + _CHUNK)
+            M = mono[:, : hi - lo]
+            M[0] = 1.0
+            for dst, src, length, j in self._steps:
+                np.multiply(M[src : src + length], UT[j, lo:hi], out=M[dst : dst + length])
+            for members, block, rows, sel in classes:
+                out[rows, lo:hi] = (block @ M[members])[sel]
+        return out.T[0] if single else out.T
 
 
 def _orthogonalize_class(
@@ -275,18 +286,32 @@ def _build(d: int, max_degree: int) -> HarmonicBasis:
     for t in range(T):
         denom *= d + 2 * t
 
-    # (degree, generating candidate index, dense coefficient row)
-    rows: list[tuple[int, int, NDArray[np.float64]]] = []
-    for members in classes.values():
+    # (degree, generating candidate index, dense coefficient row, class)
+    rows: list[tuple[int, int, NDArray[np.float64], int]] = []
+    for c, members in enumerate(classes.values()):
         cands = sorted((degree_of[g], g) for g in members)
         for gidx, v, alpha in _orthogonalize_class(members, cands, mono, d, T):
             dense = np.zeros(N)
             dense[members] = _to_float(v, alpha, denom)
-            rows.append((degree_of[gidx], gidx, dense))
+            rows.append((degree_of[gidx], gidx, dense, c))
     rows.sort(key=lambda r: (r[0], r[1]))
 
     degrees = np.array([r[0] for r in rows], dtype=np.int64)
     coefficients = np.vstack([r[2] for r in rows])
+    blocks = []
+    for c, members in enumerate(classes.values()):
+        funcs = np.array([s for s, r in enumerate(rows) if r[3] == c], dtype=np.intp)
+        blocks.append((np.array(members), funcs, coefficients[np.ix_(funcs, members)]))
+
+    # Each monomial but 1 is its parent times u_j, j its first used coordinate.
+    # In lex order the C(d-j+k-2, k) degree-k monomials in coordinates j+1..
+    # come first, then those with first coordinate j, whose parents are, in
+    # order, the leading C(d-j+k-2, k-1) of degree k - 1 (coordinates j..).
+    start = [degree_of.index(k) for k in range(max_degree + 1)]
+    steps = tuple(
+        (start[k] + math.comb(d - j + k - 2, k), start[k - 1], math.comb(d - j + k - 2, k - 1), j)
+        for k in range(1, max_degree + 1) for j in range(d)
+    )
     for k in range(max_degree + 1):
         got = int(np.count_nonzero(degrees == k))
         if got != harmonic_dim(d, k):
@@ -299,7 +324,8 @@ def _build(d: int, max_degree: int) -> HarmonicBasis:
         degrees=degrees,
         exponents=np.array(mono, dtype=np.int64),
         coefficients=coefficients,
-        _max_exponent=max_degree,
+        _steps=steps,
+        _classes=tuple(blocks),
     )
 
 

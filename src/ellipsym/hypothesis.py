@@ -105,15 +105,19 @@ def _jsonable(v):
 
 def _standardized(X, location, scatter):
     """(Y, norms, U): whitened residuals, their norms, and directions."""
-    Y = (X - location) @ sym_inv_sqrt(scatter)
-    norms = np.linalg.norm(Y, axis=1)
+    return _directions((X - location) @ sym_inv_sqrt(scatter))
+
+
+def _directions(Y):
+    """(Y, norms, U) for whitened residuals Y of shape (..., n, d)."""
+    norms = np.linalg.norm(Y, axis=-1)
     if np.any(norms < ZERO_NORM_TOL):
-        i = int(np.argmin(norms))
+        i = int(np.argmin(norms)) % norms.shape[-1]
         raise DomainError(
             f"observation {i} coincides with the location estimate; "
             "directions are undefined"
         )
-    return Y, norms, Y / norms[:, None]
+    return Y, norms, Y / norms[..., None]
 
 
 def _check_location(location, d: int) -> NDArray[np.float64]:
@@ -154,16 +158,30 @@ def _null_resampler(X):
 # ---------------------------------------------------------------------------
 
 
+def _ks_statistics(S, basis) -> NDArray[np.float64]:
+    """Koltchinskii-Sakhanenko statistic of each sample in a (k, n, d) stack.
+
+    One stacked standardization with ``sample_cov``'s checks, then one basis
+    evaluation per sample, so one (m, n) table is live at a time.
+    """
+    k, n, d = S.shape
+    W, cov = _centered_cov(S, n)
+    vals, vecs = np.linalg.eigh(cov)
+    root = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    _, norms, U = _directions(W @ root)
+    order = np.argsort(norms, axis=-1, kind="stable")
+    U = np.take_along_axis(U, order[..., None], axis=-2)
+    out = np.empty(k)
+    for i in range(k):
+        cum = basis.evaluate(U[i]).T  # (m, n), C-contiguous
+        cum[0] -= 1.0  # center the constant harmonic at its spherical mean
+        np.cumsum(cum, axis=1, out=cum)
+        out[i] = math.sqrt(np.einsum("ij,ij->j", cum, cum).max()) / math.sqrt(n)
+    return out
+
+
 def _ks_statistic(X, basis) -> float:
-    n = X.shape[0]
-    theta = sample_mean(X)
-    scatter = sample_cov(X, denominator="n")
-    _, norms, U = _standardized(X, theta, scatter)
-    order = np.argsort(norms, kind="stable")
-    psi = basis.evaluate(U[order])
-    psi[:, 0] -= 1.0  # center the constant harmonic at its spherical mean
-    cum = np.cumsum(psi, axis=0)
-    return float(np.linalg.norm(cum, axis=1).max() / math.sqrt(n))
+    return float(_ks_statistics(X[None], basis)[0])
 
 
 def ks_test(
@@ -193,11 +211,8 @@ def ks_test(
         params["warning"] = msg
 
     stat = _ks_statistic(X, basis)
-    generate = _null_resampler(X)
     plan = BootstrapPlan(R=R, seed=seed, workers=workers)
-    reference = run_replicates(
-        plan, generate, lambda S: [_ks_statistic(x, basis) for x in S]
-    )
+    reference = run_replicates(plan, _null_resampler(X), lambda S: _ks_statistics(S, basis))
     law = NullLaw.bootstrap(reference)
     return TestResult("ks", stat, pvalue(law, stat), law, params)
 
@@ -227,7 +242,7 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
         rho = 0.0
     else:
         k = math.ceil(epsilon * n)
-        rho = float(np.sort(norms)[k - 1])
+        rho = float(np.partition(norms, k - 1)[k - 1])
 
     basis = build_basis(d, 4)
     psi = basis.evaluate(U[norms > rho], degrees=(3, 4))

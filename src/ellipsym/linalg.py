@@ -2,9 +2,7 @@
 
 Symmetric square roots come from eigendecompositions so that the root is
 the unique symmetric one; the Gram-Schmidt (triangular) standardizer comes
-from a Cholesky factorization.  The small utilities (``kron``, ``vec``,
-``commutation``) follow the usual column-stacking conventions of
-multivariate-moment algebra.
+from a Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -79,31 +77,3 @@ def gram_schmidt_root(S) -> NDArray[np.float64]:
     # invert the triangular factor by forward substitution against I
     R = np.linalg.solve(L, np.eye(d))
     return R
-
-
-def kron(A, B) -> NDArray[np.float64]:
-    """Kronecker product of two matrices."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim != 2:
-        raise UsageError("kron expects two matrices")
-    return np.kron(A, B)
-
-
-def vec(A) -> NDArray[np.float64]:
-    """Column-stacking vec operator: vec(A)[i + j*rows] = A[i, j]."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise UsageError("vec expects a matrix")
-    return A.reshape(-1, order="F")
-
-
-def commutation(d: int) -> NDArray[np.float64]:
-    """Commutation matrix K of size d^2: K @ vec(A) = vec(A.T) for d x d A."""
-    if d < 1:
-        raise UsageError("commutation requires d >= 1")
-    K = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            K[j + i * d, i + j * d] = 1.0
-    return K

@@ -2,8 +2,10 @@
 
 Everything in this module is deliberately naive: explicit loops, literal
 transcriptions of the published formulas, and no code shared with the
-``ellipsym`` package.  Where a spherical-harmonic basis is required, the
-closed-form circle harmonics are used, so those oracles only cover d = 2.
+``ellipsym`` package.  Where a spherical-harmonic basis is required, either
+the closed-form circle harmonics are used (those oracles cover d = 2 only),
+or the basis is avoided altogether through the addition theorem, which gives
+O(n^2) kernel forms of the harmonic statistics in any dimension.
 
 These functions are slow on purpose; they exist to pin down correct values
 on small frozen datasets, not to be used on real data.
@@ -122,6 +124,99 @@ def circle_harmonics(u, degrees):
             vals.append(math.sqrt(2.0) * math.cos(k * phi))
             vals.append(math.sqrt(2.0) * math.sin(k * phi))
     return vals
+
+
+# ---------------------------------------------------------------------------
+# zonal kernels (any d), by the addition theorem
+# ---------------------------------------------------------------------------
+
+def harmonic_dim_oracle(d, k):
+    """dim H_k on S^{d-1}: homogeneous polynomials of degree k minus those of
+    degree k - 2 (multiplied by |x|^2)."""
+    if k < 2:
+        return 1 if k == 0 else d
+    return math.comb(d + k - 1, k) - math.comb(d + k - 3, k - 2)
+
+
+def zonal_polynomial(k, d, t):
+    """C_k^lam(t) / C_k^lam(1) with lam = (d - 2)/2, the Legendre polynomial
+    of degree k in d dimensions (Chebyshev T_k when d = 2), by the recurrence
+
+        P_{j+1}(t) = ((2j + d - 2) t P_j(t) - j P_{j-1}(t)) / (j + d - 2)
+
+    from P_0 = 1, P_1 = t (Atkinson & Han 2012, LNM 2044, section 2.1).
+    """
+    prev, cur = 1.0, t
+    if k == 0:
+        return prev
+    for j in range(1, k):
+        prev, cur = cur, ((2 * j + d - 2) * t * cur - j * prev) / (j + d - 2)
+    return cur
+
+
+def harmonic_kernel(u, v, degrees):
+    """Sum of psi(u) psi(v) over orthonormal bases of the degree-k harmonics,
+    k in ``degrees``: by the addition theorem, the sum over k of
+    dim H_k * C_k^lam(u.v) / C_k^lam(1)."""
+    d = len(u)
+    t = 0.0
+    for a in range(d):
+        t += u[a] * v[a]
+    total = 0.0
+    for k in degrees:
+        total += harmonic_dim_oracle(d, k) * zonal_polynomial(k, d, t)
+    return total
+
+
+def _directions(X, denom):
+    """Standardized residual norms and directions, by loops."""
+    n, d = X.shape
+    theta = mean_oracle(X)
+    S = inv_sqrt_oracle(cov_oracle(X, denom))
+    Y = [S @ (X[i] - theta) for i in range(n)]
+    norms = [math.sqrt(sum(y * y for y in Y[i])) for i in range(n)]
+    return norms, [Y[i] / norms[i] for i in range(n)]
+
+
+def ks_statistic_kernel_oracle(X):
+    """Koltchinskii-Sakhanenko statistic, any d, harmonics of degree <= 4.
+
+    The centered constant harmonic contributes zero, so the squared norm of
+    the cumulative sum over the first j ordered directions is
+    sum_{a, b <= j} of the kernel over degrees 1..4.
+    """
+    n, d = X.shape
+    norms, U = _directions(X, "n")
+    order = sorted(range(n), key=lambda i: (norms[i], i))
+    U = [U[i] for i in order]
+    degrees = [1, 2, 3, 4]
+    total = 0.0
+    best = 0.0
+    for j in range(n):
+        total += harmonic_kernel(U[j], U[j], degrees)
+        for a in range(j):
+            total += 2.0 * harmonic_kernel(U[a], U[j], degrees)
+        best = max(best, total)
+    return math.sqrt(best) / math.sqrt(n)
+
+
+def mpq_statistic_kernel_oracle(X, epsilon=0.05):
+    """Manzotti-Perez-Quiroz statistic, any d: n times the squared norm of the
+    degree-3 and -4 harmonic averages equals (1/n) times the kernel summed
+    over every pair of directions outside the radius cutoff."""
+    n, d = X.shape
+    norms, U = _directions(X, "n-1")
+    if epsilon == 0.0:
+        rho = 0.0
+    else:
+        k = math.ceil(epsilon * n)
+        rho = sorted(norms)[k - 1]
+    kept = [U[i] for i in range(n) if norms[i] > rho]
+    total = 0.0
+    for u in kept:
+        for v in kept:
+            total += harmonic_kernel(u, v, [3, 4])
+    return total / n
 
 
 # ---------------------------------------------------------------------------

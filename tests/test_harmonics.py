@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import naive
-from ellipsym import UsageError, build_basis, eval_basis, harmonic_dim
+from ellipsym import UsageError, build_basis, harmonic_dim
 
 
 def unit_rows(rng, n, d):
@@ -68,10 +68,22 @@ def test_pointwise_degree_sum_equals_dimension(rng):
             assert np.allclose(sums, harmonic_dim(d, k), atol=1e-9)
 
 
-def test_parity_is_exact(rng):
-    for d in (2, 3, 4):
+def test_evaluate_matches_dense_reference(rng):
+    # monomials and the dense coefficient matrix, over more than one chunk
+    for d in (2, 3, 4, 5):
         basis = build_basis(d, 4)
-        U = unit_rows(rng, 500, d)
+        U = unit_rows(rng, 2100, d)
+        mono = np.prod(U[:, None, :] ** basis.exponents, axis=2)
+        dense = mono @ basis.coefficients.T
+        assert np.max(np.abs(basis.evaluate(U) - dense)) < 1e-12
+        part = basis.evaluate(U, degrees=(3, 4))
+        assert np.max(np.abs(part - dense[:, np.isin(basis.degrees, (3, 4))])) < 1e-12
+
+
+def test_parity_is_exact(rng):
+    for d in (2, 3, 4, 6, 10):
+        basis = build_basis(d, 4)
+        U = unit_rows(rng, 2100 if d == 6 else 500, d)
         plus = basis.evaluate(U)
         minus = basis.evaluate(-U)
         signs = np.where(basis.degrees % 2 == 0, 1.0, -1.0)
@@ -119,7 +131,7 @@ def test_evaluate_guards(rng):
     u = np.array([0.6, 0.8])
     row = basis.evaluate(u)
     assert row.shape == (basis.size,)
-    assert np.allclose(row, eval_basis(basis, u))
+    assert np.array_equal(row, basis.evaluate(u[None])[0])
 
 
 def test_degree_selection_matches_slices(rng):

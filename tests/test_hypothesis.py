@@ -26,7 +26,9 @@ from ellipsym import (
     mpq_test,
     pseudo_gaussian_test,
     replicate_rng,
+    run_replicates,
     sample_mvn,
+    sample_skewed,
     schott_df,
     schott_test,
     skew_optimal_test,
@@ -36,9 +38,10 @@ from ellipsym.hypothesis import (
     METHOD_LABELS,
     _hp_statistic,
     _ks_statistic,
+    _ks_statistics,
     _null_resampler,
 )
-from ellipsym.resample import BLOCK_CELLS
+from ellipsym.resample import BLOCK_CELLS, BootstrapPlan
 
 Z2 = np.zeros(2)
 
@@ -158,6 +161,25 @@ def test_oracle_agreement_fresh_draw():
     assert relclose(_hp_statistic(X, 4, "orthants", 4), naive.hp_statistic_oracle(X, 4), 1e-12)
     assert relclose(pseudo_gaussian_test(X).statistic, naive.pg_statistic_oracle(X))
     assert relclose(skew_optimal_test(X).statistic, naive.so_statistic_oracle(X))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_kernel_oracle_agreement_any_d(d):
+    # the addition-theorem kernels share no code with the harmonic basis
+    X = sample_skewed(d, 60, slant=2.0, seed=40 + d)
+    ks = _ks_statistic(X, build_basis(d, 4))
+    assert relclose(ks, naive.ks_statistic_kernel_oracle(X), 1e-9)
+    for eps in (0.0, 0.05):
+        mpq = mpq_test(X, eps).statistic
+        assert relclose(mpq, naive.mpq_statistic_kernel_oracle(X, eps), 1e-9)
+
+
+def test_kernel_oracle_matches_circle_oracle(golden_20x2):
+    X = golden_20x2
+    assert relclose(naive.ks_statistic_kernel_oracle(X), naive.ks_statistic_oracle(X), 1e-10)
+    assert relclose(
+        naive.mpq_statistic_kernel_oracle(X), naive.mpq_statistic_oracle(X), 1e-10
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +345,42 @@ def test_hp_reference_is_block_independent(n, d, kwargs):
     for workers in (1, 2, 8):
         law = huffer_park_test(X, seed=seed, workers=workers, **kwargs).null_law
         assert np.array_equal(law.reference, expected)
+
+
+def test_ks_reference_is_block_independent():
+    # stacked statistics equal the one-sample statistic element for element,
+    # and the blocked reference equals the per-replicate statistics for any
+    # worker count, with a partial last block and a singular replicate
+    n, d, R, seed = 40, 3, 300, 17
+    X = sample_mvn(np.zeros(d), np.eye(d), n, seed=5)
+    basis = build_basis(d, 4)
+    block = BLOCK_CELLS // (n * d)
+    assert R > block and R % block != 0
+    base = _null_resampler(X)
+    singular = 7
+
+    def generate(rng):
+        x = base(rng)
+        if rng.bit_generator.seed_seq.entropy == (seed, singular):
+            x[:, 2] = x[:, 0] - x[:, 1]  # rank-deficient covariance
+        return x
+
+    draws = [generate(replicate_rng(seed, r)) for r in range(R)]
+    S = np.stack(draws[:block])
+    with pytest.raises(DomainError):
+        _ks_statistics(S, basis)  # the engine rescores this block alone
+    alone = [_ks_statistic(x, basis) for x in np.delete(S, singular, axis=0)]
+    assert np.array_equal(_ks_statistics(np.delete(S, singular, axis=0), basis), alone)
+
+    null = np.sort([_ks_statistic(base(replicate_rng(seed, r)), basis) for r in range(R)])
+    draws[singular] = generate(replicate_rng(seed, singular, 1))
+    expected = np.sort([_ks_statistic(x, basis) for x in draws])
+    for workers in (1, 2, 8):
+        plan = BootstrapPlan(R=R, seed=seed, workers=workers)
+        got = run_replicates(plan, generate, lambda S: _ks_statistics(S, basis))
+        assert np.array_equal(got, expected)
+        law = ks_test(X, R=R, seed=seed, workers=workers).null_law
+        assert np.array_equal(law.reference, null)
 
 
 def test_rotation_invariance_spot_check(golden_20x2):

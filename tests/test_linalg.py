@@ -3,14 +3,7 @@ import pytest
 
 import naive
 from ellipsym import DomainError, UsageError
-from ellipsym.linalg import (
-    commutation,
-    gram_schmidt_root,
-    kron,
-    sym_inv_sqrt,
-    sym_sqrt,
-    vec,
-)
+from ellipsym.linalg import gram_schmidt_root, sym_inv_sqrt, sym_sqrt
 
 
 def random_spd(rng, d, cond=10.0):
@@ -66,27 +59,3 @@ def test_gram_schmidt_root_matches_oracle(rng):
     S = random_spd(rng, 3)
     expected = naive._tri_inv_oracle(naive._chol_oracle(S))
     assert np.allclose(gram_schmidt_root(S), expected, atol=1e-12)
-
-
-def test_kron_matches_numpy(rng):
-    A = rng.standard_normal((2, 3))
-    B = rng.standard_normal((4, 2))
-    assert np.allclose(kron(A, B), np.kron(A, B))
-
-
-def test_kron_rejects_vectors():
-    with pytest.raises(UsageError):
-        kron(np.ones(3), np.eye(2))
-
-
-def test_vec_is_column_major():
-    A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(vec(A), np.array([1.0, 3.0, 2.0, 4.0]))
-
-
-def test_commutation_transposes(rng):
-    for d in (2, 3):
-        K = commutation(d)
-        A = rng.standard_normal((d, d))
-        assert np.allclose(K @ vec(A), vec(A.T))
-        assert np.allclose(K @ K, np.eye(d * d))
