@@ -37,10 +37,8 @@ from .distributions import (
     NullLaw,
     RadialDensity,
     chi2_cdf,
-    chi2_quantile,
     chi2_sf,
     pvalue,
-    radial_phi,
     sample_mvn,
     sample_mvt,
     sample_skewed,
@@ -85,7 +83,6 @@ __all__ = [
     "UsageError",
     "build_basis",
     "chi2_cdf",
-    "chi2_quantile",
     "chi2_sf",
     "gram_schmidt_root",
     "harmonic_dim",
@@ -95,7 +92,6 @@ __all__ = [
     "mpq_test",
     "pseudo_gaussian_test",
     "pvalue",
-    "radial_phi",
     "replicate_rng",
     "resolve_workers",
     "run_replicates",

@@ -15,15 +15,8 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import DomainError, NumericError, UsageError
+from .exceptions import NumericError, UsageError
 from .linalg import sym_sqrt
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-#: density of the standard normal at zero, the Pi-dot(0) factor of the
-#: skew-optimal statistics (it cancels in the final quadratic form).
-NORMAL_PDF_AT_ZERO = 1.0 / _SQRT_2PI
-
 
 #: relative stopping tolerance of the incomplete-gamma series and fraction
 _GAMMA_EPS = 2.0**-53
@@ -110,21 +103,6 @@ def chi2_sf(x: float, df: float) -> float:
     return _gamma_tails(float(df) / 2.0, float(x) / 2.0)[1]
 
 
-def chi2_quantile(p: float, df: float) -> float:
-    """Inverse chi-squared CDF for p in the open interval (0, 1).
-
-    The one function of the package that needs scipy, imported here so that
-    importing ellipsym does not load it.
-    """
-    from scipy import special
-
-    if df <= 0:
-        raise UsageError(f"df must be positive, got {df}")
-    if not 0.0 < p < 1.0:
-        raise UsageError(f"chi2_quantile requires 0 < p < 1, got {p}")
-    return float(2.0 * special.gammaincinv(df / 2.0, p))
-
-
 # ---------------------------------------------------------------------------
 # radial densities
 # ---------------------------------------------------------------------------
@@ -171,18 +149,6 @@ class RadialDensity:
             if self.param is not None:
                 raise UsageError("logistic radial density takes no parameter")
 
-    def density(self, x, d: int):
-        """The (unnormalized) radial density f(x)."""
-        x = np.asarray(x, dtype=float)
-        if self.family == "t":
-            nu = self.param
-            return (1.0 + x * x / nu) ** (-(nu + d) / 2.0)
-        if self.family == "logistic":
-            e = np.exp(-x * x)
-            return e / (1.0 + e) ** 2
-        beta = self.param
-        return np.exp(-0.5 * x ** (2.0 * beta))
-
     def phi(self, x, d: int):
         """The score phi_f(x) = -f'(x)/f(x)."""
         x = np.asarray(x, dtype=float)
@@ -205,14 +171,6 @@ class RadialDensity:
             return 2.0 * t + 2.0 * x * x * (1.0 - t * t)
         beta = self.param
         return beta * (2.0 * beta - 1.0) * x ** (2.0 * beta - 2.0)
-
-
-def radial_phi(f: RadialDensity, x, d: int):
-    """(phi_f(x), phi_f'(x)) for x > 0."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise UsageError("radial_phi requires x > 0")
-    return f.phi(arr, d), f.phi_prime(arr, d)
 
 
 # ---------------------------------------------------------------------------

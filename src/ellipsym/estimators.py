@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .exceptions import ConvergenceError, DomainError, NumericError, UsageError
-from .linalg import SPD_RTOL, sym_inv_sqrt
+from .linalg import _spd, sym_inv_sqrt
 
 ZERO_NORM_TOL = 1e-12
 
@@ -56,17 +56,10 @@ def _second_moment(W, denominator) -> NDArray[np.float64]:
 
 def _centered_cov(A, denominator):
     """(W, S) for each sample of a (..., n, d) stack: the residuals about the
-    sample's mean and W'W / denominator, which must be positive definite."""
+    sample's mean and W'W / denominator.  S is not yet known to be positive
+    definite; the ``linalg`` root that whitens W with it checks that."""
     W = A - A.mean(axis=-2, keepdims=True)
-    S = _second_moment(W, denominator)
-    vals = np.linalg.eigvalsh(S)
-    singular = (vals[..., 0] <= SPD_RTOL * vals[..., -1]) | (vals[..., -1] <= 0.0)
-    if np.any(singular):
-        vals = vals[singular][0]
-        raise DomainError(
-            f"sample covariance is singular (eigenvalues {vals[0]:.6g} .. {vals[-1]:.6g})"
-        )
-    return W, S
+    return W, _second_moment(W, denominator)
 
 
 def sample_mean(X) -> NDArray[np.float64]:
@@ -93,7 +86,7 @@ def sample_cov(X, denominator: str = "n") -> NDArray[np.float64]:
     if denominator not in ("n", "n-1"):
         raise UsageError(f"denominator must be 'n' or 'n-1', got {denominator!r}")
     n = A.shape[0]
-    return _centered_cov(A, n if denominator == "n" else n - 1)[1]
+    return _spd(_centered_cov(A, n if denominator == "n" else n - 1)[1])
 
 
 def tyler_scatter(
@@ -117,6 +110,8 @@ def tyler_scatter(
 
     Raises
     ------
+    UsageError
+        If ``location`` is not a finite vector of length d.
     DomainError
         If an observation coincides with ``location`` (its squared norm is
         at most ``ZERO_NORM_TOL**2`` times the median, a scale that one gross
@@ -129,12 +124,14 @@ def tyler_scatter(
         iterations; the message carries the last residual.
     """
     A = validate_sample(X)
-    theta = np.asarray(location, dtype=float)
-    if theta.shape != (A.shape[1],):
-        raise UsageError(
-            f"location must be a vector of length {A.shape[1]}, got shape {theta.shape}"
-        )
     n, d = A.shape
+    theta = np.asarray(location, dtype=float)
+    if theta.shape != (d,):
+        raise UsageError(
+            f"location must be a vector of length {d}, got shape {theta.shape}"
+        )
+    if not np.all(np.isfinite(theta)):
+        raise UsageError("location must be finite")
     W = A - theta
     V = _second_moment(W, n)
     sq = np.einsum("ij,ij->i", W, W)

@@ -37,14 +37,12 @@ from .distributions import NullLaw, RadialDensity, pvalue, sample_uniform_sphere
 from .estimators import (
     ZERO_NORM_TOL,
     _centered_cov,
-    sample_cov,
-    sample_mean,
     tyler_scatter,
     validate_sample,
 )
 from .exceptions import DomainError, NumericError, UsageError
 from .harmonics import build_basis, harmonic_dim
-from .linalg import sym_inv_sqrt, sym_sqrt
+from .linalg import gram_schmidt_root, sym_inv_sqrt, sym_sqrt
 from .resample import ALL_BUT_ONE, BootstrapPlan, run_replicates
 
 #: display names, keyed by the short method identifiers used everywhere else
@@ -103,11 +101,6 @@ def _jsonable(v):
     return v
 
 
-def _standardized(X, location, scatter):
-    """(Y, norms, U): whitened residuals, their norms, and directions."""
-    return _directions((X - location) @ sym_inv_sqrt(scatter))
-
-
 def _directions(Y):
     """(Y, norms, U) for whitened residuals Y of shape (..., n, d)."""
     norms = np.linalg.norm(Y, axis=-1)
@@ -120,17 +113,6 @@ def _directions(Y):
     return Y, norms, Y / norms[..., None]
 
 
-def _check_location(location, d: int) -> NDArray[np.float64]:
-    theta = np.asarray(location, dtype=float)
-    if theta.shape != (d,):
-        raise UsageError(
-            f"location must be a vector of length {d}, got shape {theta.shape}"
-        )
-    if not np.all(np.isfinite(theta)):
-        raise UsageError("location must be finite")
-    return theta
-
-
 def _null_resampler(X):
     """Null-mimicking resampler for the bootstrap tests.
 
@@ -140,10 +122,10 @@ def _null_resampler(X):
     radius indices first, then the direction block.
     """
     n, d = X.shape
-    theta = sample_mean(X)
-    scatter = sample_cov(X, denominator="n")
-    _, norms, _ = _standardized(X, theta, scatter)
-    root = sym_sqrt(scatter)
+    W, S = _centered_cov(X, n)
+    _, norms, _ = _directions(W @ sym_inv_sqrt(S))
+    theta = X.mean(axis=0)
+    root = sym_sqrt(S)
 
     def generate(rng: np.random.Generator) -> NDArray[np.float64]:
         idx = rng.integers(0, n, size=n)
@@ -161,14 +143,12 @@ def _null_resampler(X):
 def _ks_statistics(S, basis) -> NDArray[np.float64]:
     """Koltchinskii-Sakhanenko statistic of each sample in a (k, n, d) stack.
 
-    One stacked standardization with ``sample_cov``'s checks, then one basis
-    evaluation per sample, so one (m, n) table is live at a time.
+    One stacked standardization, then one basis evaluation per sample, so
+    one (m, n) table is live at a time.
     """
     k, n, d = S.shape
     W, cov = _centered_cov(S, n)
-    vals, vecs = np.linalg.eigh(cov)
-    root = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    _, norms, U = _directions(W @ root)
+    _, norms, U = _directions(W @ sym_inv_sqrt(cov))
     order = np.argsort(norms, axis=-1, kind="stable")
     U = np.take_along_axis(U, order[..., None], axis=-2)
     out = np.empty(k)
@@ -235,9 +215,9 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
     if not 0.0 <= epsilon < 1.0:
         raise UsageError(f"epsilon must lie in [0, 1), got {epsilon}")
 
-    theta = sample_mean(X)
-    scatter = sample_cov(X, denominator="n-1")
-    _, norms, U = _standardized(X, theta, scatter)
+    W, S = _centered_cov(X, n - 1)
+    _, norms, U = _directions(W @ sym_inv_sqrt(S))
+    del W  # free the residuals: the basis evaluation below is the memory peak
     if epsilon == 0.0:
         rho = 0.0
     else:
@@ -276,9 +256,8 @@ def schott_test(X) -> TestResult:
     """
     X = validate_sample(X)
     n, d = X.shape
-    theta = sample_mean(X)
-    scatter = sample_cov(X, denominator="n-1")
-    Y = (X - theta) @ sym_inv_sqrt(scatter)
+    W, S = _centered_cov(X, n - 1)
+    Y = W @ sym_inv_sqrt(S)
     r = np.einsum("ij,ij->i", Y, Y)  # squared Mahalanobis norms
 
     # rows of Z are vec(y y'), so M4* = Z'Z / n
@@ -356,15 +335,10 @@ def _hp_shells(norms, c: int) -> NDArray[np.int64]:
 
 
 def _hp_tables(S, c: int, sector: str, g: int) -> NDArray[np.int64]:
-    """``hp_counts`` of each sample in a (k, n, d) stack, shape (k, g, c).
-
-    The covariances get ``sample_cov``'s checks; the Gram-Schmidt root is
-    the inverse Cholesky factor, as in ``gram_schmidt_root``.
-    """
+    """``hp_counts`` of each sample in a (k, n, d) stack, shape (k, g, c)."""
     k, n, d = S.shape
     W, cov = _centered_cov(S, n)
-    root = np.linalg.solve(np.linalg.cholesky(cov), np.eye(d))
-    Y = W @ np.swapaxes(root, -1, -2)
+    Y = W @ np.swapaxes(gram_schmidt_root(cov), -1, -2)
     cells = _hp_sectors(Y, sector, g) * c + _hp_shells(np.linalg.norm(Y, axis=-1), c)
     cells += np.arange(k)[:, None] * (g * c)
     return np.bincount(cells.ravel(), minlength=k * g * c).reshape(k, g, c)
@@ -497,7 +471,17 @@ def _cd_constant(d: int) -> float:
     )
 
 
-def pseudo_gaussian_test(X, location=None, naive: bool = False) -> TestResult:
+def _tyler_directions(X, location):
+    """(norms, U) of the residuals about ``location``, or about the sample
+    mean when it is None, in the axes of the symmetric root of Tyler's
+    scatter about that point."""
+    theta = X.mean(axis=0) if location is None else location
+    root = sym_inv_sqrt(tyler_scatter(X, theta))
+    _, norms, U = _directions((X - theta) @ root)
+    return norms, U
+
+
+def pseudo_gaussian_test(X, location=None) -> TestResult:
     """Pseudo-Gaussian test against Fechner-type skewed alternatives.
 
     With a known ``location`` the statistic aggregates signed squared
@@ -510,33 +494,19 @@ def pseudo_gaussian_test(X, location=None, naive: bool = False) -> TestResult:
     scatter, so the statistic is invariant under shifts, nonzero scalings
     and signed coordinate permutations, but not under rotations or general
     linear maps.
-
-    ``naive=True`` evaluates the known-location statistic through its
-    O(n^2) pairwise double sum instead of the collapsed O(n d) form; the
-    two agree to rounding and the flag exists for verification.
     """
     X = validate_sample(X)
     n, d = X.shape
+    norms, U = _tyler_directions(X, location)
 
     if location is not None:
-        theta = _check_location(location, d)
-        scatter = tyler_scatter(X, theta)
-        _, norms, U = _standardized(X, theta, scatter)
         m4 = float(np.mean(norms**4))
-        A = norms[:, None] ** 2 * _signed_squares(U)
-        if naive:
-            total = float((A @ A.T).sum())
-        else:
-            v = A.sum(axis=0)
-            total = float(v @ v)
-        stat = d * (d + 2) / (3.0 * n * m4) * total
+        v = (norms[:, None] ** 2 * _signed_squares(U)).sum(axis=0)
+        stat = d * (d + 2) / (3.0 * n * m4) * float(v @ v)
         law = NullLaw.chi2(d)
-        params = {"n": n, "d": d, "location": "specified", "naive": naive}
+        params = {"n": n, "d": d, "location": "specified"}
         return TestResult("pg", stat, pvalue(law, stat), law, params)
 
-    theta = sample_mean(X)
-    scatter = tyler_scatter(X, theta)
-    _, norms, U = _standardized(X, theta, scatter)
     m1 = float(np.mean(norms))
     m2 = float(np.mean(norms**2))
     m3 = float(np.mean(norms**3))
@@ -585,18 +555,15 @@ def skew_optimal_test(
     n, d = X.shape
 
     if location is not None:
-        theta = _check_location(location, d)
-        scatter = tyler_scatter(X, theta)
-        diff = sample_mean(X) - theta
+        scatter = tyler_scatter(X, location)
+        diff = X.mean(axis=0) - location
         stat = float(n * diff @ np.linalg.solve(scatter, diff))
         law = NullLaw.chi2(d)
         params = {"n": n, "d": d, "location": "specified"}
         return TestResult("so", stat, pvalue(law, stat), law, params)
 
     density = RadialDensity(f, param)
-    theta = sample_mean(X)
-    scatter = tyler_scatter(X, theta)
-    _, norms, U = _standardized(X, theta, scatter)
+    norms, U = _tyler_directions(X, None)
 
     phi = density.phi(norms, d)
     dphi = density.phi_prime(norms, d)

@@ -2,7 +2,10 @@
 
 Symmetric square roots come from eigendecompositions so that the root is
 the unique symmetric one; the Gram-Schmidt (triangular) standardizer comes
-from a Cholesky factorization.
+from a Cholesky factorization.  Each root accepts one (d, d) matrix or a
+(..., d, d) stack of them and returns the same shape.  The positive-
+definiteness rule below lives only in this module and every root applies
+it, so a caller whitens with a root and does not check the matrix first.
 """
 
 from __future__ import annotations
@@ -17,27 +20,44 @@ from .exceptions import DomainError, UsageError
 SPD_RTOL = 1e-10
 
 
-def _as_symmetric(S, name: str) -> NDArray[np.float64]:
+def _as_symmetric(S) -> NDArray[np.float64]:
     A = np.asarray(S, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise UsageError(f"{name} must be a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DomainError(f"{name} has non-finite entries")
-    scale = np.max(np.abs(A))
-    if scale > 0 and np.max(np.abs(A - A.T)) > 1e-12 * scale:
-        raise DomainError(f"{name} is not symmetric")
-    return 0.5 * (A + A.T)
-
-
-def _spd_eigh(S, name: str):
-    A = _as_symmetric(S, name)
-    vals, vecs = np.linalg.eigh(A)
-    if vals[0] <= SPD_RTOL * vals[-1] or vals[-1] <= 0.0:
-        raise DomainError(
-            f"{name} is not positive definite: smallest eigenvalue "
-            f"{vals[0]:.6g} vs largest {vals[-1]:.6g}"
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise UsageError(
+            f"S must be a square matrix or a stack of them, got shape {A.shape}"
         )
+    if not np.isfinite(A).all():
+        raise DomainError("S has non-finite entries")
+    AT = np.swapaxes(A, -1, -2)
+    # each matrix is held to its own scale, so one stack may mix magnitudes
+    scale = np.abs(A).max(axis=(-2, -1))
+    if (np.abs(A - AT).max(axis=(-2, -1)) > 1e-12 * scale).any():
+        raise DomainError("S is not symmetric")
+    return 0.5 * A + 0.5 * AT  # 0.5 * (A + AT) overflows for entries near 1e308
+
+
+def _require_spd(vals) -> None:
+    """Refuse a stack whose ascending eigenvalues (..., d) break the rule."""
+    bad = vals[..., 0] <= SPD_RTOL * vals[..., -1]  # true, too, if vals[..., -1] <= 0
+    if bad.any():
+        low, high = vals[bad][0][[0, -1]]
+        raise DomainError(
+            "scatter matrix is not positive definite: smallest eigenvalue "
+            f"{low:.6g} vs largest {high:.6g}"
+        )
+
+
+def _spd_eigh(S):
+    vals, vecs = np.linalg.eigh(_as_symmetric(S))
+    _require_spd(vals)
     return vals, vecs
+
+
+def _spd(S) -> NDArray[np.float64]:
+    """``S`` made exactly symmetric, once each matrix is known to be SPD."""
+    A = _as_symmetric(S)
+    _require_spd(np.linalg.eigvalsh(A))
+    return A
 
 
 def sym_sqrt(S) -> NDArray[np.float64]:
@@ -45,23 +65,23 @@ def sym_sqrt(S) -> NDArray[np.float64]:
 
     Parameters
     ----------
-    S : array_like
-        Symmetric positive-definite matrix.
+    S : array_like, shape (..., d, d)
+        Symmetric positive-definite matrix, or a stack of them.
 
     Raises
     ------
     DomainError
-        If ``S`` is not symmetric positive definite (smallest eigenvalue
-        at or below ``SPD_RTOL`` times the largest).
+        If a matrix of ``S`` is not symmetric positive definite (smallest
+        eigenvalue at or below ``SPD_RTOL`` times the largest).
     """
-    vals, vecs = _spd_eigh(S, "S")
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    vals, vecs = _spd_eigh(S)
+    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def sym_inv_sqrt(S) -> NDArray[np.float64]:
     """Symmetric inverse square root: the unique symmetric M with M S M = I."""
-    vals, vecs = _spd_eigh(S, "S")
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    vals, vecs = _spd_eigh(S)
+    return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def gram_schmidt_root(S) -> NDArray[np.float64]:
@@ -71,9 +91,6 @@ def gram_schmidt_root(S) -> NDArray[np.float64]:
     it (rather than with the symmetric root) makes the result invariant
     under lower-triangular positive-diagonal transformations of the data.
     """
-    vals, _ = _spd_eigh(S, "S")
-    L = np.linalg.cholesky(np.asarray(S, dtype=float))
-    d = L.shape[0]
+    L = np.linalg.cholesky(_spd(S))
     # invert the triangular factor by forward substitution against I
-    R = np.linalg.solve(L, np.eye(d))
-    return R
+    return np.linalg.solve(L, np.eye(L.shape[-1]))

@@ -476,6 +476,20 @@ def _phi_oracle(f, param, x, d):
     raise ValueError(f)
 
 
+def radial_density_oracle(f, param, x, d):
+    """The unnormalized radial density f(x) whose score phi_f = -f'/f the
+    skew-optimal test uses (t: param nu; powerExp: param beta)."""
+    if f == "t":
+        nu = param
+        return (1.0 + x * x / nu) ** (-(nu + d) / 2.0)
+    if f == "logistic":
+        e = math.exp(-x * x)
+        return e / (1.0 + e) ** 2
+    if f == "powerExp":
+        return math.exp(-0.5 * x ** (2.0 * param))
+    raise ValueError(f)
+
+
 def so_statistic_oracle(X, f="t", param=4.0, location=None):
     """Skew-optimal statistics (specified-location Wald form, or the
     unspecified-location form for radial density f)."""

@@ -346,3 +346,50 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("\tTest for elliptical symmetry by Manzotti et al.")
+
+
+# ---------------------------------------------------------------------------
+# run-time dependencies
+# ---------------------------------------------------------------------------
+
+
+def test_no_run_time_path_needs_scipy(tmp_path):
+    # scipy is a test dependency only: with every import of it refused, all
+    # six tests run, in the library and through the command line
+    path = str(tmp_path / "sim.csv")
+    code = f"""
+import sys
+sys.modules["scipy"] = None  # any `import scipy...` now raises ImportError
+import numpy as np
+import ellipsym
+from ellipsym.cli import main
+
+X = ellipsym.sample_mvn(np.zeros(3), np.eye(3), 60, seed=1)
+results = [
+    ellipsym.ks_test(X, R=20, workers=1),
+    ellipsym.mpq_test(X),
+    ellipsym.schott_test(X),
+    ellipsym.huffer_park_test(X, c=2, R=20, workers=1),
+    ellipsym.huffer_park_test(X, c=2, workers=1),
+    ellipsym.pseudo_gaussian_test(X),
+    ellipsym.pseudo_gaussian_test(X, location=np.zeros(3)),
+    ellipsym.skew_optimal_test(X),
+    ellipsym.skew_optimal_test(X, location=np.zeros(3)),
+]
+assert all(0.0 < r.p_value <= 1.0 for r in results)
+path = {path!r}
+assert main(["simulate", "--dist", "normal", "--n", "60", "--d", "2",
+             "--seed", "1", "--out", path]) == 0
+for method, extra in (("ks", ["--R", "20"]), ("mpq", []), ("schott", []),
+                      ("hp", ["--c", "2"]), ("pg", []), ("so", [])):
+    assert main(["test", "--method", method, "--input", path, "--jobs", "1",
+                 *extra]) == 0
+assert main(["rolling", "--method", "so", "--input", path,
+             "--window", "30", "--step", "15"]) == 0
+print("scipy" in sys.modules and sys.modules["scipy"] is not None)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

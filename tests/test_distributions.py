@@ -11,10 +11,8 @@ from ellipsym import (
     RadialDensity,
     UsageError,
     chi2_cdf,
-    chi2_quantile,
     chi2_sf,
     pvalue,
-    radial_phi,
     sample_mvn,
     sample_mvt,
     sample_skewed,
@@ -107,21 +105,11 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_chi2_quantile_roundtrip():
-    for df in (1, 2, 5.5):
-        for p in (0.01, 0.5, 0.975):
-            assert abs(chi2_cdf(chi2_quantile(p, df), df) - p) < 1e-12
-
-
 def test_chi2_guards():
     with pytest.raises(UsageError):
         chi2_cdf(-1.0, 2)
     with pytest.raises(UsageError):
         chi2_sf(1.0, 0)
-    with pytest.raises(UsageError):
-        chi2_quantile(0.0, 2)
-    with pytest.raises(UsageError):
-        chi2_quantile(1.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +141,7 @@ def test_scores_match_oracle():
     d = 3
     for family, param in (("t", 4.0), ("t", 7.5), ("logistic", None), ("powerExp", 0.5), ("powerExp", 2.0)):
         f = RadialDensity(family, param)
-        phi, dphi = radial_phi(f, xs, d)
+        phi, dphi = f.phi(xs, d), f.phi_prime(xs, d)
         for x, p, dp in zip(xs, phi, dphi):
             op, odp = naive._phi_oracle(family, param, float(x), d)
             assert abs(p - op) < 1e-13
@@ -166,14 +154,13 @@ def test_score_is_negative_log_density_slope():
     h = 1e-6
     for family, param in (("t", 4.0), ("logistic", None), ("powerExp", 0.5)):
         f = RadialDensity(family, param)
+
+        def density(x):
+            return naive.radial_density_oracle(family, param, x, d)
+
         for x in (0.5, 1.0, 2.0):
-            fp = (f.density(x + h, d) - f.density(x - h, d)) / (2 * h)
-            assert abs(f.phi(x, d) - (-fp / f.density(x, d))) < 1e-5
-
-
-def test_radial_phi_guards():
-    with pytest.raises(UsageError):
-        radial_phi(RadialDensity("t"), np.array([0.5, 0.0]), 2)
+            fp = (density(x + h) - density(x - h)) / (2 * h)
+            assert abs(f.phi(x, d) - (-fp / density(x))) < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,9 @@ def test_tyler_rejects_bad_location(rng):
     X = rng.standard_normal((20, 2))
     with pytest.raises(UsageError):
         tyler_scatter(X, np.zeros(3))
+    for location in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(UsageError, match="location must be finite"):
+            tyler_scatter(X, location)
     with pytest.raises(DomainError):
         tyler_scatter(X, X[3])  # coincides with an observation
 

@@ -125,12 +125,6 @@ def test_pg_golden(golden_20x2):
     )
 
 
-def test_pg_naive_flag_agrees(golden_20x2):
-    fast = pseudo_gaussian_test(golden_20x2, location=Z2).statistic
-    slow = pseudo_gaussian_test(golden_20x2, location=Z2, naive=True).statistic
-    assert relclose(fast, slow, 1e-12)
-
-
 def test_so_golden(golden_20x2):
     X = golden_20x2
     assert relclose(skew_optimal_test(X).statistic, GOLDEN_20["so_t4"])
@@ -160,6 +154,10 @@ def test_oracle_agreement_fresh_draw():
     assert relclose(schott_test(X).statistic, naive.schott_statistic_oracle(X), 1e-9)
     assert relclose(_hp_statistic(X, 4, "orthants", 4), naive.hp_statistic_oracle(X, 4), 1e-12)
     assert relclose(pseudo_gaussian_test(X).statistic, naive.pg_statistic_oracle(X))
+    loc = [0.5, -1.0]  # the O(n^2) double sum of the specified-location form
+    assert relclose(
+        pseudo_gaussian_test(X, location=loc).statistic, naive.pg_statistic_oracle(X, loc)
+    )
     assert relclose(skew_optimal_test(X).statistic, naive.so_statistic_oracle(X))
 
 

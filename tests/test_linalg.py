@@ -59,3 +59,22 @@ def test_gram_schmidt_root_matches_oracle(rng):
     S = random_spd(rng, 3)
     expected = naive._tri_inv_oracle(naive._chol_oracle(S))
     assert np.allclose(gram_schmidt_root(S), expected, atol=1e-12)
+
+
+def test_roots_accept_stacks(rng):
+    # a stack mixing magnitudes 1e-30 .. 1e30 passes: symmetry is judged
+    # per matrix, against that matrix's own scale; entries near the top of
+    # the float range must not overflow on the way
+    near_max = 1e308 * np.array([[1.5, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.2]])
+    S = np.stack([s * random_spd(rng, 3) for s in (1e-30, 1.0, 1e30, 3.0)] + [near_max])
+    for root in (sym_sqrt, sym_inv_sqrt, gram_schmidt_root):
+        stacked = root(S)
+        assert stacked.shape == S.shape
+        assert np.all(np.isfinite(stacked))
+        for i in range(len(S)):
+            assert np.array_equal(stacked[i], root(S[i]))
+    bad = S.copy()
+    bad[2] = np.diag([1e30, 1e30, 0.0])
+    for root in (sym_sqrt, sym_inv_sqrt, gram_schmidt_root):
+        with pytest.raises(DomainError, match="not positive definite"):
+            root(bad)
