@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 computation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -55,26 +56,32 @@ ALTERNATIVE_LINE = (
 
 
 def read_table(path: str, has_header: bool = True):
-    """Raw CSV contents as (column names or None, list of string rows)."""
+    """Column names (or None) and the data lines of a CSV file.
+
+    The text is read once, without a UTF-8 byte-order mark.  Lines keep their
+    ends and blank lines (one can lie in a quoted cell): ``csv.reader(lines)``
+    reads the file's rows.
+    """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
+    reader = csv.reader(lines)
+    first = next(filter(None, reader), None)
+    if first is None:
         raise DataError(f"{path} contains no data")
-    names = None
-    if has_header:
-        names = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise DataError(f"{path} has a header row but no data rows")
-    return names, rows
+    if not has_header:
+        return None, lines
+    lines = lines[reader.line_num :]
+    if not any(line.strip("\r\n") for line in lines):
+        raise DataError(f"{path} has a header row but no data rows")
+    return [cell.strip() for cell in first], lines
 
 
-def _resolve_columns(columns, names, width: int) -> list:
-    """Translate a selection of names / 1-based indices to 0-based indices."""
+def _resolve_columns(columns, names, lines) -> list:
+    """0-based indices for names or 1-based indices, up to the first row's width."""
+    width = len(next(filter(None, csv.reader(lines))))
     if columns is None:
         return list(range(width))
     out = []
@@ -97,14 +104,21 @@ def _resolve_columns(columns, names, width: int) -> list:
     return out
 
 
-def _numeric_matrix(names, rows, selection) -> np.ndarray:
+def _numeric_matrix(names, lines, selection) -> np.ndarray:
     """Parse the selected cells into a float matrix with located errors.
 
-    When every row has the same width, the selected cells are converted in
-    one step (numpy parses each string with ``float``).  A cell that fails
-    there, a non-finite value or a ragged row sends the table through the
-    per-cell loop of :func:`_located_matrix`, which names the first fault.
+    ``np.loadtxt`` splits rows and quoted cells as ``csv`` does, in C; its
+    matrix is kept when the table is rectangular and the selected values are
+    finite.  Anything else takes the ``csv`` path, the one definition of the
+    accepted syntax and the messages: a bulk ``float`` conversion of the
+    selected cells, else the per-cell loop of :func:`_located_matrix`.
     """
+    with contextlib.suppress(ValueError):
+        X = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        X = X[:, selection]
+        if np.isfinite(X).all():
+            return X
+    rows = list(filter(None, csv.reader(lines)))
     width = len(rows[0])
     if all(len(row) == width for row in rows):
         try:
@@ -149,9 +163,9 @@ def ingest_csv(path: str, has_header: bool = True, columns=None) -> np.ndarray:
     NA cell raises :class:`DataError`, both naming the row and column; a
     sample with too few rows or columns raises :class:`DomainError`.
     """
-    names, rows = read_table(path, has_header)
-    selection = _resolve_columns(columns, names, len(rows[0]))
-    return validate_sample(_numeric_matrix(names, rows, selection))
+    names, lines = read_table(path, has_header)
+    selection = _resolve_columns(columns, names, lines)
+    return validate_sample(_numeric_matrix(names, lines, selection))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +255,7 @@ def cmd_test(args) -> int:
 def cmd_rolling(args) -> int:
     if args.step < 1:
         raise UsageError(f"--step must be at least 1, got {args.step}")
-    names, rows = read_table(args.input, has_header=not args.no_header)
+    names, lines = read_table(args.input, has_header=not args.no_header)
 
     columns = args.columns
     date_index = None
@@ -252,10 +266,10 @@ def cmd_rolling(args) -> int:
         if columns is None:
             columns = [c for c in names if c != args.date_column]
 
-    selection = _resolve_columns(columns, names, len(rows[0]))
+    selection = _resolve_columns(columns, names, lines)
     if date_index is not None and date_index in selection:
         raise UsageError(f"date column {args.date_column!r} cannot be tested")
-    X = validate_sample(_numeric_matrix(names, rows, selection))
+    X = validate_sample(_numeric_matrix(names, lines, selection))
 
     n, d = X.shape
     window, step = args.window, args.step
@@ -264,11 +278,9 @@ def cmd_rolling(args) -> int:
     if window < d + 2:
         raise UsageError(f"window must be at least d + 2 = {d + 2} rows, got {window}")
 
-    labels = (
-        [row[date_index].strip() for row in rows]
-        if date_index is not None
-        else [""] * n
-    )
+    labels = [""] * n
+    if date_index is not None:
+        labels = [row[date_index].strip() for row in filter(None, csv.reader(lines))]
 
     out_rows = []
     for start in range(0, n - window + 1, step):

@@ -105,8 +105,10 @@ def tyler_scatter(
     normalizing each iterate.  Convergence is declared when the fixed-point
     residual  || V^{-1/2} M(V) V^{-1/2} - I ||_max  drops below ``tol``,
     i.e. when the direction vectors s_i = V^{-1/2} w_i / ||V^{-1/2} w_i||
-    satisfy (d/n) sum_i s_i s_i' = I to within tol.  The returned matrix is
-    rescaled so that (1/n) sum_i w_i' V^{-1} w_i = d.
+    satisfy (d/n) sum_i s_i s_i' = I to within tol.  One root V^{-1/2} per
+    iteration gives that residual and the squared norms w_i' V^{-1} w_i =
+    ||V^{-1/2} w_i||^2; with the last iteration's norms the returned matrix
+    is rescaled so that (1/n) sum_i w_i' V^{-1} w_i = d.
 
     Raises
     ------
@@ -146,13 +148,19 @@ def tyler_scatter(
     V *= d / np.trace(V)
     resid = np.inf
     for _ in range(max_iter):
-        q = _mahalanobis_sq(W, V)
+        try:
+            iroot = sym_inv_sqrt(V)
+        except DomainError as exc:
+            raise NumericError(
+                "Tyler scatter iterate is numerically singular; an observation "
+                "may lie too far from the location for the fit (rescale or remove it)"
+            ) from exc
+        Z = W @ iroot
+        q = np.einsum("ij,ij->i", Z, Z)  # w_i' V^{-1} w_i
         if np.any(q <= 0.0):
             raise DomainError("scatter iterate lost positive definiteness")
         M = (W / q[:, None]).T @ W * (d / n)
-        iroot = sym_inv_sqrt(V)
-        E = iroot @ M @ iroot
-        resid = np.max(np.abs(E - np.eye(d)))
+        resid = np.max(np.abs(iroot @ M @ iroot - np.eye(d)))
         if resid < tol:
             break
         V = M * (d / np.trace(M))
@@ -161,16 +169,5 @@ def tyler_scatter(
             f"Tyler iteration did not converge in {max_iter} steps "
             f"(last residual {resid:.3e}, tol {tol:.1e})"
         )
-    # scale fix: average squared Mahalanobis norm equals d
-    return V * (_mahalanobis_sq(W, V).mean() / d)
-
-
-def _mahalanobis_sq(W, V) -> NDArray[np.float64]:
-    """w_i' V^{-1} w_i for each row of W, refusing a singular iterate."""
-    try:
-        return np.einsum("ij,ji->i", W, np.linalg.solve(V, W.T))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "Tyler scatter iterate is numerically singular; an observation "
-            "may lie too far from the location for the fit (rescale or remove it)"
-        ) from exc
+    # scale fix: average squared Mahalanobis norm equals d (q is about V)
+    return V * (q.mean() / d)

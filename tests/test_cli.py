@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from ellipsym import EllipsymError, NullLaw, sample_mvn
 from ellipsym import cli
@@ -53,8 +55,8 @@ def test_read_table_header_modes(tmp_path):
     p = write_csv(tmp_path / "t.csv", [["1", "2"], ["3", "4"]], header=["a", "b"])
     names, rows = read_table(p)
     assert names == ["a", "b"] and len(rows) == 2
-    names, rows = read_table(p, has_header=False)
-    assert names is None and rows[0] == ["a", "b"]
+    names, lines = read_table(p, has_header=False)
+    assert names is None and lines[0] == "a,b\n"
 
 
 def test_column_selection_by_name_and_index(tmp_path):
@@ -110,6 +112,9 @@ PARSE_CASES = {
     "ragged": ("a,b\n1,2\n3\n5,6\n", True, None, "row 2 has 1 fields, expected 2"),
     "abc_before_ragged": ("1,2\nabc,4\n5\n", False, None,
                           "non-numeric value 'abc' at row 2, column 1"),
+    "quoted_newline": ('a,b\n"1\n",2\n3,4\n', True, None, None),
+    "devanagari_digit": ("a,b\n\u0967,2\n3,4\n", True, None, None),
+    "crlf": ("a,b\r\n1,2\r\n\r\n3,4\r\n", True, None, None),
 }
 
 
@@ -117,9 +122,10 @@ PARSE_CASES = {
 def test_bulk_parse_matches_cell_loop(tmp_path, monkeypatch, case):
     text, has_header, columns, message = PARSE_CASES[case]
     path = tmp_path / "t.csv"
-    path.write_text(text, encoding="utf-8")
-    names, rows = read_table(str(path), has_header)
-    selection = _resolve_columns(columns, names, len(rows[0]))
+    path.write_text(text, encoding="utf-8", newline="")
+    names, lines = read_table(str(path), has_header)
+    rows = [row for row in csv.reader(lines) if row]
+    selection = _resolve_columns(columns, names, lines)
     if message is None:
         loop = _located_matrix(names, rows, selection)
 
@@ -127,14 +133,101 @@ def test_bulk_parse_matches_cell_loop(tmp_path, monkeypatch, case):
             raise AssertionError("the bulk conversion fell back to the cell loop")
 
         monkeypatch.setattr(cli, "_located_matrix", no_fallback)
-        bulk = _numeric_matrix(names, rows, selection)
+        bulk = _numeric_matrix(names, lines, selection)
         assert bulk.shape == loop.shape == (len(rows), len(selection))
         assert bulk.tobytes() == loop.tobytes()  # bit for bit, signed zeros too
     else:
-        for parse in (_numeric_matrix, _located_matrix):
+        for parse, table in ((_numeric_matrix, lines), (_located_matrix, rows)):
             with pytest.raises(EllipsymError) as exc:
-                parse(names, rows, selection)
+                parse(names, table, selection)
             assert str(exc.value) == message
+
+
+# cell spellings: float() and loadtxt agree on some, and differ on others
+CELLS = ["1", "-2.5", "+3e2", "4.5E-3", ".5", "6.", "-0", "-0.0", "5e-324",
+         "2.2250738585072014e-308", "1e-400", "1e400", " 7 ", "\t8", "9\t",
+         '"10"', '" 11 "', '"1"2', '"1,2"', '""', "1_0", "\u0967", "NA", "na",
+         "nan", "NaN", "inf", "-Infinity", "", " ", "abc", "0x10", "1d3",
+         "\u20025", "\x0c6", '"1\n"', '"\n2"', '"3\r\n"', '"4\n\n"', '"a\n\nb"']
+
+
+@st.composite
+def csv_tables(draw):
+    """CSV text with a header flag and a column selection."""
+    width = draw(st.integers(1, 4))
+    text_column = draw(st.none() | st.integers(0, width - 1))
+    numbers = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    cell = st.sampled_from(CELLS) | numbers
+    rows = []
+    for i in range(draw(st.integers(1, 5))):
+        row = [draw(cell) for _ in range(width)]
+        if text_column is not None:
+            row[text_column] = draw(st.sampled_from(["x", "a b", '"p,q"']))
+        if i > 0 and draw(st.integers(0, 9)) == 0:  # a ragged row
+            row = row[:-1] if width > 1 and draw(st.booleans()) else row + ["1"]
+        rows.append(",".join(row))
+    has_header = draw(st.booleans())
+    if has_header:
+        rows.insert(0, ",".join(f"c{j}" for j in range(width)))
+    for _ in range(draw(st.integers(0, 2))):  # blank lines anywhere
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(rows) + draw(st.sampled_from(["", end]))
+    chosen = [j for j in range(width) if j != text_column]
+    selection = draw(st.lists(st.sampled_from(chosen), min_size=1, unique=True)
+                     if chosen else st.just([0]))
+    return text, has_header, selection
+
+
+def _outcome(parse):
+    try:
+        return parse().tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=csv_tables())
+def test_fast_path_matches_located_loop(tmp_path, table):
+    # the loadtxt path must give the bytes, or the error, of the cell loop
+    # over the rows that csv reads from the original text
+    text, has_header, selection = table
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    names = [cell.strip() for cell in rows.pop(0)] if has_header else None
+    assume(rows)  # read_table refuses a table without data rows
+    names_read, lines = read_table(str(path), has_header)
+    assert names_read == names
+    assert _outcome(lambda: _numeric_matrix(names, lines, selection)) == _outcome(
+        lambda: _located_matrix(names, rows, selection)
+    )
+
+
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+    X = sample_mvn(np.zeros(2), np.eye(2), 10, seed=3)
+    path = tmp_path / "bom.csv"
+    with open(path, "w", newline="", encoding="utf-8-sig") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["a", "b"])
+        writer.writerows([[f"{v:.17g}" for v in row] for row in X])
+    np.testing.assert_array_equal(ingest_csv(str(path), columns=["a", "b"]), X)
+    assert main(["test", "--method", "schott", "--columns", "a,b",
+                 "--input", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("\tSchott test")
+
+    dated = tmp_path / "bom_dated.csv"
+    rows = [[f"2024-01-{i + 1:02d}"] + [f"{v:.17g}" for v in row]
+            for i, row in enumerate(X)]
+    with open(dated, "w", newline="", encoding="utf-8-sig") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["day", "x1", "x2"])
+        writer.writerows(rows)
+    assert main(["rolling", "--method", "schott", "--input", str(dated),
+                 "--window", "5", "--step", "5", "--date-column", "day"]) == 0
+    assert [r[2] for r in rolling_rows(capsys)] == ["2024-01-01", "2024-01-06"]
 
 
 # ---------------------------------------------------------------------------

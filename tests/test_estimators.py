@@ -11,6 +11,8 @@ from ellipsym import (
     sample_cov,
     sample_mean,
     sample_mvn,
+    sample_mvt,
+    sample_skewed,
     skew_optimal_test,
     tyler_scatter,
     validate_sample,
@@ -51,8 +53,10 @@ def test_cov_rejects_degenerate():
 
 
 def test_tyler_matches_oracle():
-    for d, seed in ((2, 5), (3, 6)):
-        X = sample_mvn(np.zeros(d), np.eye(d), 60, seed=seed)
+    samples = [sample_mvn(np.zeros(d), np.eye(d), 60, seed=d + 3) for d in (2, 3, 4, 5)]
+    samples.append(sample_mvt(np.zeros(3), np.eye(3), 1.5, 60, seed=7))  # heavy tails
+    samples.append(sample_skewed(4, 60, 4.0, seed=8))  # skewed
+    for X in samples:
         theta = X.mean(axis=0)
         V = tyler_scatter(X, theta)
         W = naive.tyler_oracle(X, theta)
