@@ -12,7 +12,7 @@ Six tests are provided, each returning a :class:`TestResult`:
   density
 
 Supporting machinery is exported too: Tyler's scatter estimator, the
-orthonormal spherical-harmonic bases, samplers, chi-squared helpers, and
+orthonormal spherical-harmonic bases, samplers, the chi-squared tail, and
 the replicate engine behind the resampled p-values.
 """
 
@@ -28,7 +28,6 @@ from .exceptions import (
 from .linalg import gram_schmidt_root, sym_inv_sqrt, sym_sqrt
 from .estimators import (
     sample_cov,
-    sample_mean,
     tyler_scatter,
     validate_sample,
 )
@@ -36,7 +35,6 @@ from .harmonics import HarmonicBasis, build_basis, harmonic_dim
 from .distributions import (
     NullLaw,
     RadialDensity,
-    chi2_cdf,
     chi2_sf,
     pvalue,
     sample_mvn,
@@ -54,7 +52,6 @@ from .resample import (
 from .hypothesis import (
     METHOD_LABELS,
     TestResult,
-    hp_counts,
     huffer_park_test,
     ks_test,
     mpq_test,
@@ -82,11 +79,9 @@ __all__ = [
     "TestResult",
     "UsageError",
     "build_basis",
-    "chi2_cdf",
     "chi2_sf",
     "gram_schmidt_root",
     "harmonic_dim",
-    "hp_counts",
     "huffer_park_test",
     "ks_test",
     "mpq_test",
@@ -96,7 +91,6 @@ __all__ = [
     "resolve_workers",
     "run_replicates",
     "sample_cov",
-    "sample_mean",
     "sample_mvn",
     "sample_mvt",
     "sample_skewed",

@@ -67,6 +67,8 @@ def read_table(path: str, has_header: bool = True):
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     reader = csv.reader(lines)
     first = next(filter(None, reader), None)
     if first is None:
@@ -79,9 +81,25 @@ def read_table(path: str, has_header: bool = True):
     return [cell.strip() for cell in first], lines
 
 
+def _not_utf8(path: str) -> ParseError:
+    """ParseError naming the first byte of ``path`` that is not UTF-8 (a text
+    reader's decoding error counts its offset from the reader's buffer)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        return ParseError(f"{path} is not UTF-8: byte {data[at]:#04x} at offset {at}")
+    return ParseError(f"{path} is not UTF-8")
+
+
 def _resolve_columns(columns, names, lines) -> list:
-    """0-based indices for names or 1-based indices, up to the first row's width."""
+    """0-based indices for names or 1-based indices, up to the first row's
+    width; a header is a row like the others, so it must have that width."""
     width = len(next(filter(None, csv.reader(lines))))
+    if names is not None and len(names) != width:
+        raise ParseError(f"header has {len(names)} fields, expected {width}")
     if columns is None:
         return list(range(width))
     out = []
@@ -241,6 +259,19 @@ def format_text_block(result: TestResult, data_name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _write_csv(path: Optional[str], header: list, rows) -> None:
+    """Write a header and rows as CSV to ``path``, or to stdout when it is None."""
+    stdout = contextlib.nullcontext(sys.stdout)
+    try:
+        out = stdout if path is None else open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+    with out as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_test(args) -> int:
     X = ingest_csv(args.input, has_header=not args.no_header, columns=args.columns)
     result = _run_method(X, args)
@@ -295,16 +326,7 @@ def cmd_rolling(args) -> int:
             )
         )
 
-    def emit(stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["start", "end", "label", "statistic", "p_value"])
-        writer.writerows(out_rows)
-
-    if args.out is not None:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            emit(fh)
-    else:
-        emit(sys.stdout)
+    _write_csv(args.out, ["start", "end", "label", "statistic", "p_value"], out_rows)
     return 0
 
 
@@ -321,11 +343,8 @@ def cmd_simulate(args) -> int:
     else:
         X = sample_skewed(d, n, args.slant, args.seed)
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j + 1}" for j in range(d)])
-        for row in X:
-            writer.writerow([f"{v:.17g}" for v in row])
+    rows = ([f"{v:.17g}" for v in row] for row in X)
+    _write_csv(args.out, [f"x{j + 1}" for j in range(d)], rows)
     return 0
 
 

@@ -27,21 +27,21 @@ _GAMMA_TINY = 1e-300
 _GAMMA_MAX_TERMS = 10_000
 
 
-def _gamma_tails(a: float, x: float) -> tuple[float, float]:
-    """(P, Q), the regularized lower and upper incomplete gamma at x >= 0.
+def _gamma_q(a: float, x: float) -> float:
+    """Q, the regularized upper incomplete gamma at x >= 0.
 
-    Below x = a + 1 the power series gives P and Q = 1 - P; from there on
-    the continued fraction, evaluated by the modified Lentz method, gives Q
-    and P = 1 - Q.  Either way the smaller tail carries no cancellation,
+    Below x = a + 1 the power series gives the lower tail P and Q = 1 - P;
+    from there on the continued fraction, evaluated by the modified Lentz
+    method, gives Q.  Either way the smaller tail carries no cancellation,
     and both share the prefactor exp(-x + a log x - lgamma(a)), so a tail
     beyond the double range comes out as exactly 0.0.  The exponent of
     the prefactor cancels as a grows, which bounds the accuracy (see
-    :func:`chi2_cdf`).
+    :func:`chi2_sf`).
     """
     if x == 0.0:
-        return 0.0, 1.0
+        return 1.0
     if x == math.inf:
-        return 1.0, 0.0
+        return 0.0
     prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
     max_terms = _GAMMA_MAX_TERMS + int(20.0 * math.sqrt(a))
     if x < a + 1.0:
@@ -52,8 +52,7 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
             term *= x / ap
             total += term
             if term < total * _GAMMA_EPS:
-                p = prefactor * total
-                return p, 1.0 - p
+                return 1.0 - prefactor * total
     else:
         b = x + 1.0 - a
         c = 1.0 / _GAMMA_TINY
@@ -72,35 +71,22 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
             delta = d * c
             h *= delta
             if abs(delta - 1.0) < _GAMMA_EPS:
-                q = prefactor * h
-                return 1.0 - q, q
+                return prefactor * h
     raise NumericError(f"incomplete gamma did not converge at a={a}, x={x}")
-
-
-def chi2_cdf(x: float, df: float) -> float:
-    """Chi-squared CDF (regularized incomplete gamma).
-
-    Relative error about 1e-12 for df up to 2000 and 1e-11 at df = 1e4,
-    growing in proportion to df beyond (about 1e-9 at df = 1e6); the
-    package's own dfs are at most 870 for d <= 10.
-    """
-    if df <= 0:
-        raise UsageError(f"df must be positive, got {df}")
-    if x < 0:
-        raise UsageError(f"chi2_cdf requires x >= 0, got {x}")
-    return _gamma_tails(float(df) / 2.0, float(x) / 2.0)[0]
 
 
 def chi2_sf(x: float, df: float) -> float:
     """Chi-squared survival function, 1 - CDF, computed without cancellation.
 
-    Accuracy as for :func:`chi2_cdf`.
+    Relative error about 1e-12 for df up to 2000 and 1e-11 at df = 1e4,
+    growing in proportion to df beyond (about 1e-9 at df = 1e6); the
+    package's own dfs are at most 870 for d <= 10.
     """
-    if df <= 0:
+    if not df > 0:
         raise UsageError(f"df must be positive, got {df}")
-    if x < 0:
+    if not x >= 0:
         raise UsageError(f"chi2_sf requires x >= 0, got {x}")
-    return _gamma_tails(float(df) / 2.0, float(x) / 2.0)[1]
+    return _gamma_q(float(df) / 2.0, float(x) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +101,8 @@ class RadialDensity:
     """A radial density family used by the skew-optimal test.
 
     family : {"t", "logistic", "powerExp"}
-    param : degrees of freedom nu (> 2) for "t"; kurtosis parameter
-        beta (> 0, != 1) for "powerExp"; must be None for "logistic".
+    param : finite degrees of freedom nu > 2 for "t"; finite kurtosis
+        parameter beta > 0, != 1 for "powerExp"; None for "logistic".
 
     The t family's density is f(x) = (1 + x^2/nu)^(-(nu+d)/2), so its
     score phi_f = -(log f)' depends on the ambient dimension d, which is
@@ -133,13 +119,13 @@ class RadialDensity:
             )
         if self.family == "t":
             nu = 4.0 if self.param is None else float(self.param)
-            if nu <= 2.0:
-                raise UsageError(f"t radial density requires nu > 2, got {nu}")
+            if not 2.0 < nu < math.inf:
+                raise UsageError(f"t radial density requires a finite nu > 2, got {nu}")
             object.__setattr__(self, "param", nu)
         elif self.family == "powerExp":
             beta = 0.5 if self.param is None else float(self.param)
-            if beta <= 0.0:
-                raise UsageError(f"powerExp requires beta > 0, got {beta}")
+            if not 0.0 < beta < math.inf:
+                raise UsageError(f"powerExp requires a finite beta > 0, got {beta}")
             if beta == 1.0:
                 raise UsageError(
                     "powerExp requires beta != 1 (beta = 1 is the Gaussian case)"
@@ -197,7 +183,7 @@ class NullLaw:
         if self.kind not in ("chi2", "scaled_chi2", "monte_carlo", "bootstrap"):
             raise UsageError(f"unknown null law kind {self.kind!r}")
         if self.kind in ("chi2", "scaled_chi2"):
-            if self.df is None or self.df <= 0:
+            if self.df is None or not self.df > 0:
                 raise UsageError("chi-squared null law requires df > 0")
         if self.kind == "scaled_chi2":
             if self.scale is None or not 0.0 < self.scale <= 1.0:
@@ -299,8 +285,8 @@ def sample_mvt(mean, cov, nu: float, n: int, seed) -> NDArray[np.float64]:
     sqrt(nu / W) * Z @ cov^{1/2} with W ~ chi2(nu).  Draw order: the n x d
     normal block first, then the n chi-squared variables.
     """
-    if nu <= 0:
-        raise UsageError(f"sample_mvt requires nu > 0, got {nu}")
+    if not 0 < nu < math.inf:
+        raise UsageError(f"sample_mvt requires a finite nu > 0, got {nu}")
     mean = np.asarray(mean, dtype=float)
     root = sym_sqrt(cov)
     if mean.shape != (root.shape[0],):
@@ -320,7 +306,7 @@ def sample_skewed(d: int, n: int, slant: float, seed) -> NDArray[np.float64]:
     scalar; the draw is Z if W < slant * Z_1 and Z with the sign of its
     first coordinate flipped otherwise.  slant = 0 reduces to N(0, I_d).
     """
-    if slant < 0:
+    if not slant >= 0:
         raise UsageError(f"sample_skewed requires slant >= 0, got {slant}")
     if d < 2 or n < 1:
         raise UsageError("sample_skewed requires d >= 2 and n >= 1")

@@ -1,6 +1,6 @@
 """Location and scatter estimators.
 
-Besides the sample mean and covariance this module provides Tyler's
+Besides the sample covariance this module provides Tyler's
 M-estimator of scatter, the distribution-free estimator used by the
 pseudo-Gaussian and skew-optimal tests.  Tyler's estimator is defined only
 up to scale; the iteration here fixes the scale so that the average squared
@@ -60,11 +60,6 @@ def _centered_cov(A, denominator):
     definite; the ``linalg`` root that whitens W with it checks that."""
     W = A - A.mean(axis=-2, keepdims=True)
     return W, _second_moment(W, denominator)
-
-
-def sample_mean(X) -> NDArray[np.float64]:
-    """Arithmetic mean of the rows."""
-    return validate_sample(X).mean(axis=0)
 
 
 def sample_cov(X, denominator: str = "n") -> NDArray[np.float64]:

@@ -148,7 +148,6 @@ class HarmonicBasis:
         self,
         U,
         degrees: Optional[Sequence[int]] = None,
-        check_unit: bool = True,
     ) -> NDArray[np.float64]:
         """Evaluate the basis at unit vectors.
 
@@ -158,32 +157,27 @@ class HarmonicBasis:
 
         Parameters
         ----------
-        U : array_like, shape (n, d) or (d,)
-            Points on the unit sphere (validated to 1e-8 unless
-            ``check_unit`` is False).
+        U : array_like, shape (n, d)
+            Points on the unit sphere (validated to 1e-8).
         degrees : optional sequence of degrees to restrict the output to.
 
         Returns
         -------
-        (n, m') array of evaluations (or (m',) for a single vector), where
-        m' counts the selected functions, in basis order.  The array is the
-        transpose of a C-contiguous (m', n) array, so each function's values
-        are contiguous.
+        (n, m') array of evaluations, where m' counts the selected
+        functions, in basis order.  The array is the transpose of a
+        C-contiguous (m', n) array, so each function's values are
+        contiguous.
         """
         A = np.asarray(U, dtype=float)
-        single = A.ndim == 1
-        if single:
-            A = A[None, :]
         if A.ndim != 2 or A.shape[1] != self.d:
             raise UsageError(f"expected points of dimension {self.d}, got shape {A.shape}")
-        if check_unit:
-            sq = np.einsum("ij,ij->i", A, A)
-            bad = np.abs(np.sqrt(sq) - 1.0) > _UNIT_TOL
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise UsageError(
-                    f"point {i} is not on the unit sphere (norm {math.sqrt(sq[i]):.6g})"
-                )
+        sq = np.einsum("ij,ij->i", A, A)
+        bad = np.abs(np.sqrt(sq) - 1.0) > _UNIT_TOL
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise UsageError(
+                f"point {i} is not on the unit sphere (norm {math.sqrt(sq[i]):.6g})"
+            )
         keep = np.isin(self.degrees, self.degrees if degrees is None else list(degrees))
         column = np.cumsum(keep) - 1
         # a selection takes rows of the full class products, so selected
@@ -205,7 +199,7 @@ class HarmonicBasis:
                 np.multiply(M[src : src + length], UT[j, lo:hi], out=M[dst : dst + length])
             for members, block, rows, sel in classes:
                 out[rows, lo:hi] = (block @ M[members])[sel]
-        return out.T[0] if single else out.T
+        return out.T
 
 
 def _orthogonalize_class(

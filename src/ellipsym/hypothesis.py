@@ -92,13 +92,8 @@ class TestResult:
 
 
 def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
+    # tolist gives Python values for arrays and numpy scalars alike
+    return v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
 
 
 def _directions(Y):
@@ -335,7 +330,10 @@ def _hp_shells(norms, c: int) -> NDArray[np.int64]:
 
 
 def _hp_tables(S, c: int, sector: str, g: int) -> NDArray[np.int64]:
-    """``hp_counts`` of each sample in a (k, n, d) stack, shape (k, g, c)."""
+    """The Huffer-Park (sector, shell) counts of each sample in a (k, n, d)
+    stack, shape (k, g, c): residuals whitened by the lower-triangular
+    Gram-Schmidt root of the 1/n covariance, sectors by direction, and
+    equal-count shells by radius rank."""
     k, n, d = S.shape
     W, cov = _centered_cov(S, n)
     Y = W @ np.swapaxes(gram_schmidt_root(cov), -1, -2)
@@ -349,19 +347,6 @@ def _hp_pearson(tables) -> NDArray[np.float64]:
     k, g, c = tables.shape
     expected = tables[0].sum() / (g * c)
     return np.sum((tables.reshape(k, -1) - expected) ** 2, axis=1) / expected
-
-
-def hp_counts(X, c: int, sector: str = "orthants", g: Optional[int] = None):
-    """The Huffer-Park (sector, shell) counts table, shape (g, c).
-
-    Residuals are standardized with the lower-triangular Gram-Schmidt root
-    of the 1/n covariance; sectors partition the direction, shells hold
-    equal counts of the radius ranks.
-    """
-    X = validate_sample(X)
-    n, d = X.shape
-    c, g, sector = _hp_check(n, d, c, sector, g)
-    return _hp_tables(X[None], c, sector, g)[0]
 
 
 def _hp_check(n, d, c, sector, g):
@@ -391,10 +376,6 @@ def _hp_check(n, d, c, sector, g):
             f"(over {_HP_MAX_CELLS} cells)"
         )
     return int(c), g, sector
-
-
-def _hp_statistic(X, c: int, sector: str, g: int) -> float:
-    return float(_hp_pearson(_hp_tables(X[None], c, sector, g))[0])
 
 
 def huffer_park_test(
@@ -435,22 +416,17 @@ def huffer_park_test(
     stat = float(_hp_pearson(tables)[0])
     params["counts"] = tables[0]
 
-    def statistics(S):
-        return _hp_pearson(_hp_tables(S, c, sector, g_eff))
-
-    if R is not None:
-        params["R"] = R
-        plan = BootstrapPlan(R=R, seed=seed, workers=workers)
-        reference = run_replicates(plan, _null_resampler(X), statistics)
-        law = NullLaw.bootstrap(reference)
+    if R is None:
+        params["calibration_sims"] = R = HP_CALIBRATION_SIMS
+        generate, make_law = (lambda rng: rng.standard_normal((n, d))), NullLaw.monte_carlo
     else:
-        params["calibration_sims"] = HP_CALIBRATION_SIMS
-        plan = BootstrapPlan(R=HP_CALIBRATION_SIMS, seed=seed, workers=workers)
-        reference = run_replicates(
-            plan, lambda rng: rng.standard_normal((n, d)), statistics
-        )
-        law = NullLaw.monte_carlo(reference)
-
+        params["R"] = R
+        generate, make_law = _null_resampler(X), NullLaw.bootstrap
+    plan = BootstrapPlan(R=R, seed=seed, workers=workers)
+    reference = run_replicates(
+        plan, generate, lambda S: _hp_pearson(_hp_tables(S, c, sector, g_eff))
+    )
+    law = make_law(reference)
     return TestResult("hp", stat, pvalue(law, stat), law, params)
 
 

@@ -25,9 +25,8 @@ from numpy.random import default_rng
 import naive
 from ellipsym import (
     build_basis,
-    chi2_cdf,
+    chi2_sf,
     harmonic_dim,
-    hp_counts,
     huffer_park_test,
     ks_test,
     mpq_test,
@@ -39,7 +38,7 @@ from ellipsym import (
     skew_optimal_test,
     tyler_scatter,
 )
-from ellipsym.hypothesis import _hp_statistic, _ks_statistic
+from ellipsym.hypothesis import _hp_pearson, _hp_tables, _ks_statistic
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_CSV = str(DATA / "golden_20x2.csv")
@@ -81,7 +80,10 @@ def test_criterion_01_oracle_equivalence(golden_20x2):
         "ks": (_ks_statistic(X, build_basis(2, 4)), naive.ks_statistic_oracle(X)),
         "mpq": (mpq_test(X).statistic, naive.mpq_statistic_oracle(X)),
         "schott": (schott_test(X).statistic, naive.schott_statistic_oracle(X)),
-        "hp": (_hp_statistic(X, 3, "orthants", 4), naive.hp_statistic_oracle(X, 3)),
+        "hp": (
+            _hp_pearson(_hp_tables(X[None], 3, "orthants", 4))[0],
+            naive.hp_statistic_oracle(X, 3),
+        ),
         "pg": (pseudo_gaussian_test(X).statistic, naive.pg_statistic_oracle(X)),
         "so-t": (skew_optimal_test(X).statistic, naive.so_statistic_oracle(X)),
         "so-logistic": (
@@ -139,7 +141,7 @@ def test_criterion_03_so_null_distribution():
         ]
     )
     n = len(stats)
-    cdf = np.array([chi2_cdf(s, 2) for s in stats])
+    cdf = np.array([1.0 - chi2_sf(s, 2) for s in stats])
     grid = np.arange(n) / n
     distance = max(np.max(np.abs(grid - cdf)), np.max(np.abs(grid + 1 / n - cdf)))
     assert distance < 0.06, f"Kolmogorov distance {distance}"
@@ -206,12 +208,9 @@ def test_criterion_05_affine_invariance():
             rng.uniform(0.5, 2.0, d)
         )
         XL = X @ L.T + b
-        assert np.array_equal(hp_counts(XL, 3), hp_counts(X, 3))
-        worst["hp"] = max(
-            worst["hp"],
-            rel_gap(_hp_statistic(XL, 3, "orthants", 2**d),
-                    _hp_statistic(X, 3, "orthants", 2**d)),
-        )
+        tables = _hp_tables(np.stack([XL, X]), 3, "orthants", 2**d)
+        assert np.array_equal(tables[0], tables[1])
+        worst["hp"] = max(worst["hp"], rel_gap(*_hp_pearson(tables)))
     assert max(worst.values()) < 1e-7, f"invariance gaps: {worst}"
 
 
@@ -281,7 +280,7 @@ def test_criterion_07_harmonics():
         for _ in range(total // chunk):
             U = rng.normal(size=(chunk, d))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
-            B = basis.evaluate(U, check_unit=False)
+            B = basis.evaluate(U)
             gram += B.T @ B
         gram /= total
         assert np.max(np.abs(gram - np.eye(basis.size))) < 0.05, f"d={d}"

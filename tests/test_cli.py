@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ellipsym import EllipsymError, NullLaw, sample_mvn
+from ellipsym import EllipsymError, NullLaw, ParseError, sample_mvn
 from ellipsym import cli
 from ellipsym.cli import (
     _located_matrix,
@@ -230,6 +230,70 @@ def test_byte_order_mark_is_dropped(tmp_path, capsys):
     assert [r[2] for r in rolling_rows(capsys)] == ["2024-01-01", "2024-01-06"]
 
 
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    # a Latin-1 cell, once near the start and once past the reader's first
+    # buffer, so the offset must count from the start of the file
+    for prefix in (b"", b"1,2\n" * 30_000):
+        path = tmp_path / "latin1.csv"
+        data = b"a,b\n" + prefix + b"1,2\n3,\xe9\n5,6\n7,8\n"
+        path.write_bytes(data)
+        offset = data.index(b"\xe9")
+        with pytest.raises(ParseError, match=f"byte 0xe9 at offset {offset}$"):
+            read_table(str(path))
+        assert main(["test", "--method", "schott", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"ellipsym: error: {path} is not UTF-8: byte 0xe9 at offset {offset}\n"
+        )
+
+
+HEADER_WIDTH_CASES = {
+    # a header wider than the data, selected past the data's width
+    "wide": ("a,b,c\n1,2\n3,4\n5,7\n7,1\n9,3\n", ["--columns", "a,c"], 3, 2),
+    # a header narrower than the data, with a bad cell in a later column
+    "narrow": ("a\n1,2\n3,4\n5,x\n7,1\n9,3\n", [], 1, 2),
+    # R's write.table(sep = ","): no header field for the quoted row names
+    "r_row_names": ('"x1","x2"\n"1",0.5,1.2\n"2",0.1,-0.3\n"3",2,0.7\n'
+                    '"4",-1,0.2\n"5",0.3,0.9\n"6",1.1,-2\n', ["--columns", "x1,x2"], 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_WIDTH_CASES))
+def test_header_width_must_match_the_data(tmp_path, capsys, case):
+    text, flags, width, expected = HEADER_WIDTH_CASES[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    message = f"header has {width} fields, expected {expected}"
+    for extra in ([], flags):
+        assert main(["test", "--method", "schott", "--input", str(path), *extra]) == 1
+        assert capsys.readouterr().err == f"ellipsym: error: {message}\n"
+    with pytest.raises(ParseError, match=message):
+        ingest_csv(str(path))
+
+
+# input text: numbers, separators, quotes, line ends, missing-value and
+# non-finite spellings, letters and a non-ASCII letter
+FUZZ_TOKENS = list("0123456789,.-e\" \r\nabx") + ["NA", "nan", "inf", "\u00e9"]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=st.lists(st.sampled_from(FUZZ_TOKENS), max_size=60).map("".join),
+    bad_byte=st.booleans(),
+    no_header=st.booleans(),
+    columns=st.sampled_from([None, "1,2", "2,1", "3", "a,b", "x,1", "0"]),
+)
+def test_no_input_file_makes_the_cli_raise(tmp_path, capsys, text, bad_byte,
+                                           no_header, columns):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8") + (b"\xff" if bad_byte else b""))
+    argv = ["test", "--method", "schott", "--input", str(path)]
+    argv += ["--no-header"] * no_header
+    argv += [] if columns is None else ["--columns", columns]
+    assert main(argv) in (0, 1, 2)
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # text and json output
 # ---------------------------------------------------------------------------
@@ -299,6 +363,13 @@ def test_usage_error_exits_2(tmp_path, capsys):
 
     assert main(["test", "--method", "schott", "--input",
                  str(tmp_path / "no_such.csv")]) == 2
+
+    # nu must be finite; a guard that NaN slips past writes a table of NaN
+    out = tmp_path / "t.csv"
+    for nu in ("nan", "inf"):
+        assert main(["simulate", "--dist", "t", "--nu", nu, "--n", "5", "--d", "2",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_data_error_exits_1(tmp_path, capsys):
@@ -422,6 +493,15 @@ def test_rolling_out_file(tmp_path):
         lines = fh.read().splitlines()
     assert lines[0] == "start,end,label,statistic,p_value"
     assert len(lines) == 1 + 3  # starts 1, 4, 7
+
+
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "out.csv")
+    for argv in (["simulate", "--dist", "normal", "--n", "5", "--d", "2"],
+                 ["rolling", "--method", "schott", "--input", rolling_input(tmp_path),
+                  "--window", "5", "--step", "5"]):
+        assert main([*argv, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"ellipsym: error: cannot write {out}:")
 
 
 # ---------------------------------------------------------------------------

@@ -128,10 +128,8 @@ def test_evaluate_guards(rng):
         basis.evaluate(np.array([[1.0, 1.0]]))  # not a unit vector
     with pytest.raises(UsageError):
         basis.evaluate(np.ones((3, 3)))  # wrong dimension
-    u = np.array([0.6, 0.8])
-    row = basis.evaluate(u)
-    assert row.shape == (basis.size,)
-    assert np.array_equal(row, basis.evaluate(u[None])[0])
+    with pytest.raises(UsageError):
+        basis.evaluate(np.array([0.6, 0.8]))  # one point is a (1, d) array
 
 
 def test_degree_selection_matches_slices(rng):

@@ -20,7 +20,6 @@ from ellipsym import (
     NullLaw,
     UsageError,
     build_basis,
-    hp_counts,
     huffer_park_test,
     ks_test,
     mpq_test,
@@ -36,12 +35,18 @@ from ellipsym import (
 from ellipsym.hypothesis import (
     HP_CALIBRATION_SIMS,
     METHOD_LABELS,
-    _hp_statistic,
+    _hp_pearson,
+    _hp_tables,
     _ks_statistic,
     _ks_statistics,
     _null_resampler,
 )
 from ellipsym.resample import BLOCK_CELLS, BootstrapPlan
+
+
+def hp_statistic(X, c, sector, g):
+    return float(_hp_pearson(_hp_tables(X[None], c, sector, g))[0])
+
 
 Z2 = np.zeros(2)
 
@@ -102,17 +107,19 @@ def test_hp_golden(golden_20x2):
         r = huffer_park_test(golden_20x2, 3, R=25, seed=0, workers=1)
     assert relclose(r.statistic, GOLDEN_20["hp_c3"], 1e-12)
     assert relclose(
-        _hp_statistic(golden_20x2, 2, "permutations", 2), GOLDEN_20["hp_perm_c2"], 1e-12
+        hp_statistic(golden_20x2, 2, "permutations", 2), GOLDEN_20["hp_perm_c2"], 1e-12
     )
     assert relclose(
-        _hp_statistic(golden_20x2, 2, "bivariateangles", 6),
+        hp_statistic(golden_20x2, 2, "bivariateangles", 6),
         GOLDEN_20["hp_ang_c2_g6"],
         1e-12,
     )
 
 
 def test_hp_counts_table_golden(golden_40x2):
-    assert np.array_equal(hp_counts(golden_40x2, 4), GOLDEN_40_HP_COUNTS_C4)
+    assert np.array_equal(
+        _hp_tables(golden_40x2[None], 4, "orthants", 4)[0], GOLDEN_40_HP_COUNTS_C4
+    )
     assert np.array_equal(
         naive.hp_counts_oracle(golden_40x2, 4), GOLDEN_40_HP_COUNTS_C4
     )
@@ -152,7 +159,7 @@ def test_oracle_agreement_fresh_draw():
     assert relclose(_ks_statistic(X, build_basis(2, 4)), naive.ks_statistic_oracle(X), 1e-10)
     assert relclose(mpq_test(X, 0.1).statistic, naive.mpq_statistic_oracle(X, 0.1), 1e-10)
     assert relclose(schott_test(X).statistic, naive.schott_statistic_oracle(X), 1e-9)
-    assert relclose(_hp_statistic(X, 4, "orthants", 4), naive.hp_statistic_oracle(X, 4), 1e-12)
+    assert relclose(hp_statistic(X, 4, "orthants", 4), naive.hp_statistic_oracle(X, 4), 1e-12)
     assert relclose(pseudo_gaussian_test(X).statistic, naive.pg_statistic_oracle(X))
     loc = [0.5, -1.0]  # the O(n^2) double sum of the specified-location form
     assert relclose(
@@ -338,7 +345,7 @@ def test_hp_reference_is_block_independent(n, d, kwargs):
     g = kwargs.get("g", 2**d if sector == "orthants" else math.factorial(d))
     seed = 17
     expected = np.sort(
-        [_hp_statistic(generate(replicate_rng(seed, r)), c, sector, g) for r in range(R)]
+        [hp_statistic(generate(replicate_rng(seed, r)), c, sector, g) for r in range(R)]
     )
     for workers in (1, 2, 8):
         law = huffer_park_test(X, seed=seed, workers=workers, **kwargs).null_law
@@ -411,4 +418,5 @@ def test_hp_triangular_invariance(golden_40x2):
     X = golden_40x2
     A = np.array([[1.5, 0.0], [-0.4, 0.8]])  # lower triangular, positive diagonal
     b = np.array([3.0, -1.0])
-    assert np.array_equal(hp_counts(X, 4), hp_counts(X @ A.T + b, 4))
+    tables = _hp_tables(np.stack([X, X @ A.T + b]), 4, "orthants", 4)
+    assert np.array_equal(tables[0], tables[1])
