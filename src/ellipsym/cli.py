@@ -70,7 +70,10 @@ def read_table(path: str, has_header: bool = True):
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     reader = csv.reader(lines)
-    first = next(filter(None, reader), None)
+    try:
+        first = next(filter(None, reader), None)
+    except csv.Error as exc:
+        raise ParseError(f"{'header' if has_header else 'row 1'}: {exc}") from None
     if first is None:
         raise DataError(f"{path} contains no data")
     if not has_header:
@@ -94,10 +97,21 @@ def _not_utf8(path: str) -> ParseError:
     return ParseError(f"{path} is not UTF-8")
 
 
+def _rows(lines):
+    """The non-empty rows of ``csv.reader(lines)``.  A ``csv`` error, such as
+    a cell over the field size limit, is a ParseError naming the row."""
+    i = 0
+    try:
+        for i, row in enumerate(filter(None, csv.reader(lines)), start=1):
+            yield row
+    except csv.Error as exc:
+        raise ParseError(f"row {i + 1}: {exc}") from None
+
+
 def _resolve_columns(columns, names, lines) -> list:
     """0-based indices for names or 1-based indices, up to the first row's
     width; a header is a row like the others, so it must have that width."""
-    width = len(next(filter(None, csv.reader(lines))))
+    width = len(next(_rows(lines)))
     if names is not None and len(names) != width:
         raise ParseError(f"header has {len(names)} fields, expected {width}")
     if columns is None:
@@ -136,7 +150,7 @@ def _numeric_matrix(names, lines, selection) -> np.ndarray:
         X = X[:, selection]
         if np.isfinite(X).all():
             return X
-    rows = list(filter(None, csv.reader(lines)))
+    rows = list(_rows(lines))
     width = len(rows[0])
     if all(len(row) == width for row in rows):
         try:
@@ -259,17 +273,14 @@ def format_text_block(result: TestResult, data_name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Optional[str], header: list, rows) -> None:
-    """Write a header and rows as CSV to ``path``, or to stdout when it is None."""
-    stdout = contextlib.nullcontext(sys.stdout)
+def _output(path: Optional[str]):
+    """``path`` opened for writing, or stdout (left open) when it is None."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        out = stdout if path is None else open(path, "w", newline="", encoding="utf-8")
+        return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
-    with out as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def cmd_test(args) -> int:
@@ -311,22 +322,16 @@ def cmd_rolling(args) -> int:
 
     labels = [""] * n
     if date_index is not None:
-        labels = [row[date_index].strip() for row in filter(None, csv.reader(lines))]
+        labels = [row[date_index].strip() for row in _rows(lines)]
 
-    out_rows = []
-    for start in range(0, n - window + 1, step):
-        result = _run_method(X[start : start + window], args)
-        out_rows.append(
-            (
-                start + 1,
-                start + window,
-                labels[start],
-                f"{result.statistic:.10g}",
-                f"{result.p_value:.10g}",
-            )
-        )
-
-    _write_csv(args.out, ["start", "end", "label", "statistic", "p_value"], out_rows)
+    with _output(args.out) as fh:  # an unwritable --out fails before any window
+        out_rows = []
+        for start in range(0, n - window + 1, step):
+            result = _run_method(X[start : start + window], args)
+            out_rows.append((start + 1, start + window, labels[start],
+                             f"{result.statistic:.10g}", f"{result.p_value:.10g}"))
+        header = ["start", "end", "label", "statistic", "p_value"]
+        csv.writer(fh, lineterminator="\n").writerows([header, *out_rows])
     return 0
 
 
@@ -343,8 +348,10 @@ def cmd_simulate(args) -> int:
     else:
         X = sample_skewed(d, n, args.slant, args.seed)
 
-    rows = ([f"{v:.17g}" for v in row] for row in X)
-    _write_csv(args.out, [f"x{j + 1}" for j in range(d)], rows)
+    with _output(args.out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"x{j + 1}" for j in range(d)])
+        writer.writerows([f"{v:.17g}" for v in row] for row in X)
     return 0
 
 

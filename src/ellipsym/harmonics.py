@@ -30,6 +30,8 @@ Evaluation uses the same structure.  Per chunk of 2048 points the monomials
 are built degree by degree, each as its parent times one coordinate, and each
 parity class yields its functions from one small matmul with its own
 monomials, skipping the zero coefficients (155 of 3,850 at d = 4 are not).
+The Koltchinskii-Sakhanenko reduction runs the same chunk kernel and folds
+each chunk into a running sum, so it never holds more than one chunk.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class HarmonicBasis:
     coefficients: NDArray[np.float64]
     # evaluation plan: runs (dst, src, length, j) meaning mono[dst:dst+length]
     # = mono[src:src+length] * u_j, and per parity class (monomials,
-    # functions, coefficient block)
+    # coefficient block, functions, selection) for the full basis
     _steps: tuple = field(repr=False, compare=False)
     _classes: tuple = field(repr=False, compare=False)
 
@@ -184,7 +186,7 @@ class HarmonicBasis:
         # functions are bit-identical to those of the full evaluation
         classes = [
             (members, block, column[funcs[sel]], sel)
-            for members, funcs, block in self._classes
+            for members, block, funcs, _ in self._classes
             if (sel := keep[funcs]).any()
         ]
         n = A.shape[0]
@@ -193,13 +195,41 @@ class HarmonicBasis:
         out = np.empty((int(column[-1]) + 1, n))
         for lo in range(0, n, _CHUNK):
             hi = min(n, lo + _CHUNK)
-            M = mono[:, : hi - lo]
-            M[0] = 1.0
-            for dst, src, length, j in self._steps:
-                np.multiply(M[src : src + length], UT[j, lo:hi], out=M[dst : dst + length])
-            for members, block, rows, sel in classes:
-                out[rows, lo:hi] = (block @ M[members])[sel]
+            self._kernel(UT[:, lo:hi], mono[:, : hi - lo], classes, out[:, lo:hi])
         return out.T
+
+    def cumulative_peaks(self, U) -> NDArray[np.float64]:
+        """Per (n, d) sample of a (k, n, d) stack of unit vectors (not
+        checked), the largest squared norm of the running sum of the basis
+        evaluations in row order, the constant centred at its spherical mean.
+        Each sample streams through the chunks of :meth:`evaluate` with the
+        sum carried across chunks, bit-identical to cumulating the table of
+        :meth:`evaluate`, which is never built."""
+        k, n, d = U.shape
+        mono = np.empty((self.exponents.shape[0], min(n, _CHUNK)))
+        table = np.empty((self.size, min(n, _CHUNK)))
+        peaks = np.zeros(k)
+        for i, P in enumerate(np.ascontiguousarray(np.swapaxes(U, 1, 2))):
+            carry = 0.0
+            for lo in range(0, n, _CHUNK):
+                w = min(_CHUNK, n - lo)
+                cum = table[:, :w]
+                self._kernel(P[:, lo : lo + w], mono[:, :w], self._classes, cum)
+                cum[0] -= 1.0
+                cum[:, 0] += carry
+                np.cumsum(cum, axis=1, out=cum)
+                carry = cum[:, -1].copy()
+                peaks[i] = np.maximum(peaks[i], np.einsum("ij,ij->j", cum, cum).max())
+        return peaks
+
+    def _kernel(self, P, M, classes, out) -> None:
+        """Evaluate the (d, w) points P into the rows of out that the classes
+        select, with M an (N, w) scratch table for the monomials."""
+        M[0] = 1.0
+        for dst, src, length, j in self._steps:
+            np.multiply(M[src : src + length], P[j], out=M[dst : dst + length])
+        for members, block, rows, sel in classes:
+            out[rows] = (block @ M[members])[sel]
 
 
 def _orthogonalize_class(
@@ -295,7 +325,8 @@ def _build(d: int, max_degree: int) -> HarmonicBasis:
     blocks = []
     for c, members in enumerate(classes.values()):
         funcs = np.array([s for s, r in enumerate(rows) if r[3] == c], dtype=np.intp)
-        blocks.append((np.array(members), funcs, coefficients[np.ix_(funcs, members)]))
+        block = coefficients[np.ix_(funcs, members)]
+        blocks.append((np.array(members), block, funcs, slice(None)))
 
     # Each monomial but 1 is its parent times u_j, j its first used coordinate.
     # In lex order the C(d-j+k-2, k) degree-k monomials in coordinates j+1..

@@ -97,7 +97,7 @@ def _jsonable(v):
 
 
 def _directions(Y):
-    """(Y, norms, U) for whitened residuals Y of shape (..., n, d)."""
+    """(norms, U) for whitened residuals Y of shape (..., n, d)."""
     norms = np.linalg.norm(Y, axis=-1)
     if np.any(norms < ZERO_NORM_TOL):
         i = int(np.argmin(norms)) % norms.shape[-1]
@@ -105,7 +105,7 @@ def _directions(Y):
             f"observation {i} coincides with the location estimate; "
             "directions are undefined"
         )
-    return Y, norms, Y / norms[..., None]
+    return norms, Y / norms[..., None]
 
 
 def _null_resampler(X):
@@ -118,7 +118,7 @@ def _null_resampler(X):
     """
     n, d = X.shape
     W, S = _centered_cov(X, n)
-    _, norms, _ = _directions(W @ sym_inv_sqrt(S))
+    norms, _ = _directions(W @ sym_inv_sqrt(S))
     theta = X.mean(axis=0)
     root = sym_sqrt(S)
 
@@ -130,6 +130,17 @@ def _null_resampler(X):
     return generate
 
 
+def _sorting_index(a):
+    """Index (rows, order) sorting each row of a (k, n) array, ties in row
+    order: the default sort, which is fastest and exact on distinct values,
+    then the stable sort for rows holding a tie (duplicate observations)."""
+    index = np.arange(len(a))[:, None], np.argsort(a, axis=-1)
+    ranked = a[index]
+    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=-1)
+    index[1][tied] = np.argsort(a[tied], axis=-1, kind="stable")
+    return index
+
+
 # ---------------------------------------------------------------------------
 # Koltchinskii-Sakhanenko
 # ---------------------------------------------------------------------------
@@ -138,21 +149,13 @@ def _null_resampler(X):
 def _ks_statistics(S, basis) -> NDArray[np.float64]:
     """Koltchinskii-Sakhanenko statistic of each sample in a (k, n, d) stack.
 
-    One stacked standardization, then one basis evaluation per sample, so
-    one (m, n) table is live at a time.
+    One stacked standardization, then one streaming pass of the basis over
+    each sample's points in radius order; no (m, n) table is built.
     """
     k, n, d = S.shape
     W, cov = _centered_cov(S, n)
-    _, norms, U = _directions(W @ sym_inv_sqrt(cov))
-    order = np.argsort(norms, axis=-1, kind="stable")
-    U = np.take_along_axis(U, order[..., None], axis=-2)
-    out = np.empty(k)
-    for i in range(k):
-        cum = basis.evaluate(U[i]).T  # (m, n), C-contiguous
-        cum[0] -= 1.0  # center the constant harmonic at its spherical mean
-        np.cumsum(cum, axis=1, out=cum)
-        out[i] = math.sqrt(np.einsum("ij,ij->j", cum, cum).max()) / math.sqrt(n)
-    return out
+    norms, U = _directions(W @ sym_inv_sqrt(cov))
+    return np.sqrt(basis.cumulative_peaks(U[_sorting_index(norms)])) / math.sqrt(n)
 
 
 def _ks_statistic(X, basis) -> float:
@@ -211,7 +214,7 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
         raise UsageError(f"epsilon must lie in [0, 1), got {epsilon}")
 
     W, S = _centered_cov(X, n - 1)
-    _, norms, U = _directions(W @ sym_inv_sqrt(S))
+    norms, U = _directions(W @ sym_inv_sqrt(S))
     del W  # free the residuals: the basis evaluation below is the memory peak
     if epsilon == 0.0:
         rho = 0.0
@@ -320,12 +323,9 @@ def _hp_shells(norms, c: int) -> NDArray[np.int64]:
     When n is not a multiple of c the remainder is spread one extra
     observation per shell starting from the innermost shell.
     """
-    n = norms.shape[-1]
-    order = np.argsort(norms, axis=-1, kind="stable")
-    base, rem = divmod(n, c)
-    labels = np.repeat(np.arange(c), base + (np.arange(c) < rem))
-    shells = np.empty_like(order)
-    np.put_along_axis(shells, order, np.broadcast_to(labels, order.shape), axis=-1)
+    base, rem = divmod(norms.shape[-1], c)
+    shells = np.empty(norms.shape, dtype=np.int64)
+    shells[_sorting_index(norms)] = np.repeat(np.arange(c), base + (np.arange(c) < rem))
     return shells
 
 
@@ -452,9 +452,8 @@ def _tyler_directions(X, location):
     mean when it is None, in the axes of the symmetric root of Tyler's
     scatter about that point."""
     theta = X.mean(axis=0) if location is None else location
-    root = sym_inv_sqrt(tyler_scatter(X, theta))
-    _, norms, U = _directions((X - theta) @ root)
-    return norms, U
+    root = sym_inv_sqrt(tyler_scatter(X, theta))  # checks the location first
+    return _directions((X - theta) @ root)
 
 
 def pseudo_gaussian_test(X, location=None) -> TestResult:

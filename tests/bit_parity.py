@@ -9,7 +9,9 @@ reference value, and the ``describe()`` params with their floats in hex.
 The cases cover the six tests at d = 2..5 on a Gaussian and a skewed
 sample: hp with Monte Carlo and bootstrap calibration over its three sector
 schemes, pg and so with and without a location, and so's three radial
-families.  A last record holds ``chi2_sf`` over an (x, df) grid.
+families; ks past one 2,048-point evaluation chunk; and ks and hp on a
+sample with repeated rows, whose radii tie.  A last record holds
+``chi2_sf`` over an (x, df) grid.
 """
 
 import json
@@ -82,6 +84,12 @@ def _cases():
                 yield f"so {f} {param} {tag}", lambda X=X, f=f, p=param: (
                     skew_optimal_test(X, f=f, param=p)
                 )
+    X = sample_mvn(np.zeros(3), np.eye(3), 2500, seed=300)
+    yield "ks multi-chunk d3", lambda: ks_test(X, R=3, seed=8, workers=1)
+    T = sample_skewed(3, 120, 3.0, seed=301)
+    T[60:] = T[:60]
+    yield "ks ties d3", lambda: ks_test(T, R=20, seed=9, workers=1)
+    yield "hp ties d3", lambda: huffer_park_test(T, 3, R=30, seed=10)
 
 
 def main(path):

@@ -8,7 +8,10 @@ or the basis is avoided altogether through the addition theorem, which gives
 O(n^2) kernel forms of the harmonic statistics in any dimension.
 
 These functions are slow on purpose; they exist to pin down correct values
-on small frozen datasets, not to be used on real data.
+on small frozen datasets, not to be used on real data.  One exception,
+:func:`ks_table_oracle`, is the per-sample table algorithm the streaming
+Koltchinskii-Sakhanenko reduction replaced; it takes the basis to evaluate
+as an argument and pins that reduction bit for bit.
 """
 
 import math
@@ -198,6 +201,24 @@ def ks_statistic_kernel_oracle(X):
             total += 2.0 * harmonic_kernel(U[a], U[j], degrees)
         best = max(best, total)
     return math.sqrt(best) / math.sqrt(n)
+
+
+def ks_table_oracle(norms, U, basis):
+    """Koltchinskii-Sakhanenko statistic of each sample of a stack, from its
+    standardized radii (k, n) and directions (k, n, d): the directions in
+    stable radius order, one full (m, n) table of ``basis.evaluate`` per
+    sample, its constant row centred, cumulated and normed column by column.
+    """
+    k, n, d = U.shape
+    order = np.argsort(norms, axis=-1, kind="stable")
+    U = np.take_along_axis(U, order[..., None], axis=-2)
+    out = np.empty(k)
+    for i in range(k):
+        cum = basis.evaluate(U[i]).T  # (m, n), C-contiguous
+        cum[0] -= 1.0
+        np.cumsum(cum, axis=1, out=cum)
+        out[i] = math.sqrt(np.einsum("ij,ij->j", cum, cum).max()) / math.sqrt(n)
+    return out
 
 
 def mpq_statistic_kernel_oracle(X, epsilon=0.05):

@@ -246,6 +246,28 @@ def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize("cell", ["1" * 200_000, '"' + "x" * 200_000 + '"'],
+                         ids=["digits", "quoted_text"])
+def test_cell_over_the_csv_field_limit_is_a_parse_error(tmp_path, capsys, cell):
+    # csv refuses cells over 131,072 characters; that is a located ParseError
+    limit = "field larger than field limit"
+    path = tmp_path / "big.csv"
+    for rows, where in ((["1,2", "3,4", f"{cell},5", "6,7"], "row 3"),
+                        ([f"{cell},5", "1,2", "3,4", "6,7"], "row 1")):
+        path.write_text("\n".join(["a,b", *rows, "8,9", "1,3"]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{where}: {limit}"):
+            ingest_csv(str(path))
+        for argv in (["test", "--method", "schott"],
+                     ["rolling", "--method", "schott", "--window", "4", "--step", "1"]):
+            assert main([*argv, "--input", str(path)]) == 1
+            assert capsys.readouterr().err.startswith(f"ellipsym: error: {where}: {limit}")
+    path.write_text(f"a,{cell}\n1,2\n3,4\n5,6\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^header: {limit}"):
+        read_table(str(path))
+    with pytest.raises(ParseError, match=f"^row 1: {limit}"):
+        read_table(str(path), has_header=False)
+
+
 HEADER_WIDTH_CASES = {
     # a header wider than the data, selected past the data's width
     "wide": ("a,b,c\n1,2\n3,4\n5,7\n7,1\n9,3\n", ["--columns", "a,c"], 3, 2),
@@ -502,6 +524,17 @@ def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
                   "--window", "5", "--step", "5"]):
         assert main([*argv, "--out", out]) == 2
         assert capsys.readouterr().err.startswith(f"ellipsym: error: cannot write {out}:")
+
+
+def test_unwritable_rolling_out_fails_before_any_window(tmp_path, capsys, monkeypatch):
+    def never(X, args):
+        raise AssertionError("a window ran before --out was opened")
+
+    monkeypatch.setattr(cli, "_run_method", never)
+    out = tmp_path / "missing" / "dir" / "out.csv"
+    assert main(["rolling", "--method", "schott", "--input", rolling_input(tmp_path),
+                 "--window", "5", "--step", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"ellipsym: error: cannot write {out}:")
 
 
 # ---------------------------------------------------------------------------

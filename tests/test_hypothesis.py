@@ -35,12 +35,16 @@ from ellipsym import (
 from ellipsym.hypothesis import (
     HP_CALIBRATION_SIMS,
     METHOD_LABELS,
+    _directions,
     _hp_pearson,
+    _hp_shells,
     _hp_tables,
     _ks_statistic,
     _ks_statistics,
     _null_resampler,
 )
+from ellipsym.estimators import _centered_cov
+from ellipsym.linalg import sym_inv_sqrt
 from ellipsym.resample import BLOCK_CELLS, BootstrapPlan
 
 
@@ -386,6 +390,58 @@ def test_ks_reference_is_block_independent():
         assert np.array_equal(got, expected)
         law = ks_test(X, R=R, seed=seed, workers=workers).null_law
         assert np.array_equal(law.reference, null)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_streaming_ks_matches_the_per_sample_tables(d):
+    # n spans one chunk, a chunk edge on either side and several chunks.
+    # Radii tie in the last two samples, so the sort falls back to the stable
+    # order there: the second repeats rows, the third holds pairs x, -x about
+    # an exact zero mean (dyadic values sum exactly), whose directions differ
+    basis = build_basis(d, 4)
+    rng = np.random.default_rng(60 + d)
+    for n in (50, 2047, 2048, 2049, 5000):
+        S = np.round(rng.standard_normal((3, n, d)) * 64) / 64
+        S[0] **= 3
+        S[1, n // 2 :] = S[1, : n - n // 2]
+        S[2, n // 4 : 2 * (n // 4)] = -S[2, : n // 4]
+        S[2, -1] -= S[2].sum(axis=0)
+        W, cov = _centered_cov(S, n)
+        assert np.array_equal(W[2], S[2])
+        norms, U = _directions(W @ sym_inv_sqrt(cov))
+        ranked = np.sort(norms, axis=-1)
+        assert (ranked[1:, 1:] == ranked[1:, :-1]).any(axis=-1).all()
+        assert np.array_equal(_ks_statistics(S, basis), naive.ks_table_oracle(norms, U, basis))
+
+
+def test_hp_shells_break_ties_in_row_order():
+    rng = np.random.default_rng(8)
+    norms = rng.exponential(size=(3, 301))
+    norms[1, 150:] = norms[1, :151]  # duplicate rows
+    norms[2] = np.round(norms[2], 1)  # many ties
+    order = np.argsort(norms, axis=-1, kind="stable")
+    for c in (1, 4, 7):
+        base, rem = divmod(norms.shape[1], c)
+        labels = np.repeat(np.arange(c), base + (np.arange(c) < rem))
+        expected = np.empty_like(order)
+        np.put_along_axis(expected, order, np.broadcast_to(labels, order.shape), axis=-1)
+        assert np.array_equal(_hp_shells(norms, c), expected)
+
+
+def test_ks_reduction_builds_no_table():
+    # one (m, n) table of the basis at n = 20,000, d = 4 would take 8.8 MB
+    import tracemalloc
+
+    n, d = 20_000, 4
+    X = np.random.default_rng(3).standard_normal((n, d))
+    basis = build_basis(d, 4)
+    tracemalloc.start()
+    try:
+        _ks_statistic(X, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.size * n * 8
 
 
 def test_rotation_invariance_spot_check(golden_20x2):
