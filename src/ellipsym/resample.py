@@ -1,19 +1,24 @@
 """Replicate scheduling for the bootstrap- and Monte-Carlo-calibrated tests.
 
-Each replicate r gets its own Generator seeded from SeedSequence((seed, r)),
-so the reference sample never depends on the worker count or the completion
-order.  Replicates are drawn into blocks of consecutive indices whose size
-depends only on the replicate shape, the statistic reduces each block in one
-call, and the thread pool maps over blocks.  If a block fails numerically (an
+Each replicate r gets its own Generator, with exactly the stream of
+default_rng(SeedSequence((seed, r))), so the reference sample never depends
+on the worker count or the completion order.  SeedSequence's hash runs once
+per run over every replicate index, and numpy seeds each PCG64 from its row
+of words (so bit_generator.seed_seq is not a SeedSequence).  Replicates are
+drawn into blocks of consecutive indices whose size depends only on the
+replicate shape, the statistic reduces each block in one call, and the
+thread pool maps over blocks.  If a block fails numerically (an
 EllipsymError such as a singular resample, an ArithmeticError or a
 LinAlgError), its replicates are scored one at a time from the same draws; a
-replicate that fails alone is retried once with SeedSequence((seed, r, 1)),
-and a second failure is a hard error naming the replicate.  Any other
-exception is a programming error and propagates as is.
+replicate that fails alone is retried once on the stream of
+SeedSequence((seed, r, 1)), and a second failure is a hard error naming the
+replicate.  Any other exception is a programming error and propagates as is.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,13 +48,15 @@ class BootstrapPlan:
     workers: int = ALL_BUT_ONE
 
     def __post_init__(self):
-        if self.R < 1:
-            raise UsageError(f"replicate count must be >= 1, got {self.R}")
-        if self.workers != ALL_BUT_ONE and self.workers < 1:
-            raise UsageError(
-                f"workers must be >= 1 or {ALL_BUT_ONE} (all but one core), "
-                f"got {self.workers}"
-            )
+        for name in ("R", "seed", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        # the seed hash takes each replicate index as one 32-bit word
+        if not 1 <= self.R <= 2**32:
+            raise UsageError(f"R (replicate count) must be in [1, 2**32], got {self.R}")
+        resolve_workers(self.workers)
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
 
@@ -63,10 +70,64 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
+def _replicate_words(seed: int, r, retry: int = 0) -> NDArray[np.uint64]:
+    """SeedSequence(key).generate_state(4, np.uint64), key = (seed, r[, retry > 0]).
+
+    r is an int (one row) or a uint32 array of m indices (m rows, hashed at
+    once): numpy's steps and constants, in uint32 arithmetic that wraps as its
+    C code does."""
+    def split(n):  # little-endian 32-bit words, [0] for 0
+        if n < 0:
+            raise UsageError(f"seeds and replicate indices must be >= 0, got {n}")
+        return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+
+    key = split(seed) + ([r] if isinstance(r, np.ndarray) else split(int(r)))
+    key += split(retry) if retry else []
+    # numpy hashes 0 into pool words (of 4) that the key does not fill
+    key = [np.atleast_1d(np.asarray(w, dtype=np.uint32)) for w in key + [0] * (4 - len(key))]
+
+    def hashmix(value, chain):
+        const = chain[0]
+        chain[0] = const * chain[1] & 0xFFFFFFFF
+        value = (value ^ const) * chain[0]
+        return value ^ value >> 16
+
+    def mix(dst, value):
+        out = pool[dst] * 0xCA01F9DD - hashmix(value, chain) * 0x4973F715
+        pool[dst] = out ^ out >> 16
+
+    chain = [0x43B0D7E5, 0x931E8875]
+    pool = [hashmix(w, chain) for w in key[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        mix(dst, pool[src])
+    for word, dst in itertools.product(key[4:], range(4)):
+        mix(dst, word)
+    chain = [0x8B51F9DD, 0x58F38DED]
+    state = [hashmix(pool[i % 4], chain).astype(np.uint64) for i in range(8)]
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
+
+
+@functools.cache
+def _seeded() -> Callable[[NDArray[np.uint64]], np.random.Generator]:
+    """Maps one row of _replicate_words to its Generator; numpy seeds PCG64
+    from the row.  Built on first use: importing ellipsym skips numpy.random."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetSeed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for exactly 4 uint64 words
+
+    return lambda words: Generator(PCG64(PresetSeed(words)))
+
+
 def replicate_rng(seed: int, r: int, retry: int = 0) -> np.random.Generator:
-    """The Generator assigned to replicate r (retry > 0 reseeds it)."""
-    key = (seed, r) if retry == 0 else (seed, r, retry)
-    return np.random.default_rng(np.random.SeedSequence(key))
+    """The Generator assigned to replicate r (retry > 0 reseeds it): the stream
+    of default_rng(SeedSequence((seed, r))), or of (seed, r, retry)."""
+    return _seeded()(_replicate_words(seed, r, retry)[0])
 
 
 def run_replicates(
@@ -83,7 +144,9 @@ def run_replicates(
     replicate index before sorting, so the output is identical for any
     worker count.
     """
-    first = np.asarray(generate(replicate_rng(plan.seed, 0)), dtype=float)
+    words = _replicate_words(plan.seed, np.arange(plan.R, dtype=np.uint32))
+    seeded = _seeded()
+    first = np.asarray(generate(seeded(words[0])), dtype=float)
     size = max(1, BLOCK_CELLS // max(1, first.size))
     values = np.empty(plan.R, dtype=float)
 
@@ -106,7 +169,7 @@ def run_replicates(
         S = np.empty((min(size, plan.R - lo), *first.shape))
         for i in range(len(S)):
             r = lo + i
-            x = first if r == 0 else generate(replicate_rng(plan.seed, r))
+            x = first if r == 0 else generate(seeded(words[r]))
             if np.shape(x) != first.shape:
                 raise TypeError(f"replicate {r} has shape {np.shape(x)}, not {first.shape}")
             S[i] = x

@@ -20,6 +20,16 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
+# replicate streams
+# ---------------------------------------------------------------------------
+
+def numpy_replicate_rng(seed, r, retry=0):
+    """The Generator replicate r must get: numpy's own SeedSequence hash."""
+    key = (seed, r) if retry == 0 else (seed, r, retry)
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
+# ---------------------------------------------------------------------------
 # basic estimators
 # ---------------------------------------------------------------------------
 

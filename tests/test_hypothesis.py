@@ -24,7 +24,6 @@ from ellipsym import (
     ks_test,
     mpq_test,
     pseudo_gaussian_test,
-    replicate_rng,
     run_replicates,
     sample_mvn,
     sample_skewed,
@@ -271,6 +270,16 @@ def test_hp_guards(golden_20x2):
         huffer_park_test(X3, 2, sector="bivariateangles", g=4, R=10)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"R": 50.0}, {"R": True}, {"seed": 1.5}, {"workers": 2.0}], ids=str
+)
+def test_resampling_arguments_must_be_integers(golden_40x2, kwargs):
+    with pytest.raises(UsageError, match="must be an integer"):
+        ks_test(golden_40x2, **kwargs)
+    with pytest.raises(UsageError, match="must be an integer"):
+        huffer_park_test(golden_40x2, 2, **{"R": 20, **kwargs})
+
+
 def test_ks_small_sample_warning():
     X = sample_mvn(Z2, np.eye(2), 8, seed=3)  # basis has 9 functions
     with pytest.warns(UserWarning, match="basis"):
@@ -349,7 +358,8 @@ def test_hp_reference_is_block_independent(n, d, kwargs):
     g = kwargs.get("g", 2**d if sector == "orthants" else math.factorial(d))
     seed = 17
     expected = np.sort(
-        [hp_statistic(generate(replicate_rng(seed, r)), c, sector, g) for r in range(R)]
+        [hp_statistic(generate(naive.numpy_replicate_rng(seed, r)), c, sector, g)
+         for r in range(R)]
     )
     for workers in (1, 2, 8):
         law = huffer_park_test(X, seed=seed, workers=workers, **kwargs).null_law
@@ -367,22 +377,25 @@ def test_ks_reference_is_block_independent():
     assert R > block and R % block != 0
     base = _null_resampler(X)
     singular = 7
+    singular_draw = base(naive.numpy_replicate_rng(seed, singular))
 
     def generate(rng):
         x = base(rng)
-        if rng.bit_generator.seed_seq.entropy == (seed, singular):
+        if np.array_equal(x, singular_draw):  # replicate `singular`'s base stream
             x[:, 2] = x[:, 0] - x[:, 1]  # rank-deficient covariance
         return x
 
-    draws = [generate(replicate_rng(seed, r)) for r in range(R)]
+    draws = [generate(naive.numpy_replicate_rng(seed, r)) for r in range(R)]
     S = np.stack(draws[:block])
     with pytest.raises(DomainError):
         _ks_statistics(S, basis)  # the engine rescores this block alone
     alone = [_ks_statistic(x, basis) for x in np.delete(S, singular, axis=0)]
     assert np.array_equal(_ks_statistics(np.delete(S, singular, axis=0), basis), alone)
 
-    null = np.sort([_ks_statistic(base(replicate_rng(seed, r)), basis) for r in range(R)])
-    draws[singular] = generate(replicate_rng(seed, singular, 1))
+    null = np.sort(
+        [_ks_statistic(base(naive.numpy_replicate_rng(seed, r)), basis) for r in range(R)]
+    )
+    draws[singular] = generate(naive.numpy_replicate_rng(seed, singular, 1))
     expected = np.sort([_ks_statistic(x, basis) for x in draws])
     for workers in (1, 2, 8):
         plan = BootstrapPlan(R=R, seed=seed, workers=workers)

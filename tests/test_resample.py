@@ -1,9 +1,11 @@
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from naive import numpy_replicate_rng
 from ellipsym import (
     ALL_BUT_ONE,
     BootstrapPlan,
@@ -13,6 +15,7 @@ from ellipsym import (
     resolve_workers,
     run_replicates,
 )
+from ellipsym.resample import _replicate_words, _seeded
 
 
 def test_plan_validation():
@@ -25,6 +28,27 @@ def test_plan_validation():
         BootstrapPlan(R=10, seed=0, workers=0)
     with pytest.raises(UsageError):
         BootstrapPlan(R=10, seed=0, workers=-3)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("R", 50.0), ("R", True), ("R", 2**32 + 1), ("R", "50"), ("seed", 1.5),
+     ("seed", np.float64(3)), ("seed", False), ("seed", np.bool_(True)), ("workers", 2.0)],
+)
+def test_plan_refuses_non_integers(field, value):
+    args = {"R": 10, "seed": 0, "workers": 1, field: value}
+    with pytest.raises(UsageError, match=field):
+        BootstrapPlan(**args)
+
+
+def test_plan_normalizes_numpy_integers():
+    plan = BootstrapPlan(R=np.int32(4), seed=np.int64(3), workers=np.uint8(1))
+    assert [type(v) for v in (plan.R, plan.seed, plan.workers)] == [int, int, int]
+    assert BootstrapPlan(R=2**32, seed=0).R == 2**32  # the largest count the hash takes
+    draw = lambda rng: rng.uniform(size=2)  # noqa: E731
+    got = run_replicates(plan, draw, lambda S: S.sum(axis=1))
+    expected = np.sort([draw(numpy_replicate_rng(3, r)).sum() for r in range(4)])
+    assert np.array_equal(got, expected)
 
 
 def test_resolve_workers(monkeypatch):
@@ -47,6 +71,37 @@ def test_replicate_rng_is_keyed():
     assert len({a, c, d, e}) == 4
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 9])
+@pytest.mark.parametrize("retry", [0, 1])
+def test_streams_match_numpy_seed_sequence(seed, retry):
+    # replicate_rng and the engine's one-pass derivation over a run both give
+    # numpy's default_rng(SeedSequence((seed, r[, retry]))), state and draws
+    rs = [0, 1, 2**31, 2**32 - 1, *range(2, 50)]
+    words = _replicate_words(seed, np.array(rs, dtype=np.uint32), retry)
+    assert words.shape == (len(rs), 4) and words.dtype == np.uint64
+    for r, row in zip(rs, words):
+        expected = numpy_replicate_rng(seed, r, retry)
+        state = expected.bit_generator.state
+        draws = expected.standard_normal(8)
+        for rng in (replicate_rng(seed, r, retry), _seeded()(row)):
+            assert rng.bit_generator.state == state
+            assert np.array_equal(rng.standard_normal(8), draws)
+
+
+def test_replicate_rng_takes_multiword_indices():
+    for r in (2**32, 2**40 + 3):
+        expected = numpy_replicate_rng(5, r).bit_generator.state
+        assert replicate_rng(5, r).bit_generator.state == expected
+    with pytest.raises(UsageError):
+        replicate_rng(-1, 0)
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random costs every CLI process 10+ ms; only replicates need it
+    code = "import sys, ellipsym, ellipsym.cli; assert 'numpy.random' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_replicates_sorted_and_worker_independent():
     # 5000 cells per replicate: blocks of BLOCK_CELLS // 5000 = 6, so R = 40
     # spans several blocks and ends on a partial one
@@ -63,7 +118,7 @@ def test_replicates_sorted_and_worker_independent():
     assert np.all(np.diff(results[1]) >= 0)
     assert np.array_equal(results[1], results[2])
     assert np.array_equal(results[1], results[5])
-    draws = [replicate_rng(123, r).standard_normal(5000) for r in range(40)]
+    draws = [numpy_replicate_rng(123, r).standard_normal(5000) for r in range(40)]
     assert np.array_equal(results[1], np.sort([x[0] * x[-1] for x in draws]))
 
 
@@ -86,7 +141,7 @@ def test_blocks_under_thread_contention():
     finally:
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
-    draws = [replicate_rng(5, r).standard_normal(2**14)[0] for r in range(101)]
+    draws = [numpy_replicate_rng(5, r).standard_normal(2**14)[0] for r in range(101)]
     assert np.array_equal(out["v"], np.sort(draws))
 
 
@@ -94,7 +149,7 @@ def test_retry_uses_fresh_stream():
     # replicate 0's base-stream data always fails; its block is scored one
     # replicate at a time, and only replicate 0 is retried, on the
     # (seed, r, 1) stream
-    base0 = replicate_rng(9, 0).uniform(size=3)
+    base0 = numpy_replicate_rng(9, 0).uniform(size=3)
     generated = []
 
     def generate(rng):
@@ -109,8 +164,8 @@ def test_retry_uses_fresh_stream():
     plan = BootstrapPlan(R=5, seed=9, workers=1)
     out = run_replicates(plan, generate, statistic)
     assert len(generated) == plan.R + 1  # once per replicate, once per retry
-    retry_value = replicate_rng(9, 0, retry=1).uniform(size=3).sum()
-    others = [replicate_rng(9, r).uniform(size=3).sum() for r in range(1, 5)]
+    retry_value = numpy_replicate_rng(9, 0, retry=1).uniform(size=3).sum()
+    others = [numpy_replicate_rng(9, r).uniform(size=3).sum() for r in range(1, 5)]
     assert np.array_equal(out, np.sort([retry_value, *others]))
 
 
