@@ -27,7 +27,12 @@ ZERO_NORM_TOL = 1e-12
 
 def validate_sample(X) -> NDArray[np.float64]:
     """Coerce X to a float n x d array and enforce n > d >= 2."""
-    A = np.asarray(X, dtype=float)
+    try:
+        if np.iscomplexobj(X):
+            raise TypeError("complex values")
+        A = np.asarray(X, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"sample is not a real numeric matrix: {exc}") from None
     if A.ndim != 2:
         raise DomainError(f"sample must be a 2-D array, got ndim={A.ndim}")
     n, d = A.shape

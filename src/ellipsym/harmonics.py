@@ -30,8 +30,9 @@ Evaluation uses the same structure.  Per chunk of 2048 points the monomials
 are built degree by degree, each as its parent times one coordinate, and each
 parity class yields its functions from one small matmul with its own
 monomials, skipping the zero coefficients (155 of 3,850 at d = 4 are not).
-The Koltchinskii-Sakhanenko reduction runs the same chunk kernel and folds
-each chunk into a running sum, so it never holds more than one chunk.
+One chunk loop, reusing one monomial buffer and one (m, 2048) table per
+call, serves ``evaluate`` and both harmonic reductions (ks and mpq), which
+fold each chunk into a running sum and so never hold more than one chunk.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -131,7 +132,7 @@ class HarmonicBasis:
     coefficients: NDArray[np.float64]
     # evaluation plan: runs (dst, src, length, j) meaning mono[dst:dst+length]
     # = mono[src:src+length] * u_j, and per parity class (monomials,
-    # coefficient block, functions, selection) for the full basis
+    # coefficient block, functions)
     _steps: tuple = field(repr=False, compare=False)
     _classes: tuple = field(repr=False, compare=False)
 
@@ -146,11 +147,7 @@ class HarmonicBasis:
             raise UsageError(f"basis has no degree-{k} functions")
         return slice(int(idx[0]), int(idx[-1]) + 1)
 
-    def evaluate(
-        self,
-        U,
-        degrees: Optional[Sequence[int]] = None,
-    ) -> NDArray[np.float64]:
+    def evaluate(self, U) -> NDArray[np.float64]:
         """Evaluate the basis at unit vectors.
 
         Chunk by chunk, as the module docstring describes; each monomial is
@@ -161,14 +158,11 @@ class HarmonicBasis:
         ----------
         U : array_like, shape (n, d)
             Points on the unit sphere (validated to 1e-8).
-        degrees : optional sequence of degrees to restrict the output to.
 
         Returns
         -------
-        (n, m') array of evaluations, where m' counts the selected
-        functions, in basis order.  The array is the transpose of a
-        C-contiguous (m', n) array, so each function's values are
-        contiguous.
+        (n, m) array of evaluations, in basis order: the transpose of a
+        C-contiguous (m, n) array, so each function's values are contiguous.
         """
         A = np.asarray(U, dtype=float)
         if A.ndim != 2 or A.shape[1] != self.d:
@@ -180,56 +174,54 @@ class HarmonicBasis:
             raise UsageError(
                 f"point {i} is not on the unit sphere (norm {math.sqrt(sq[i]):.6g})"
             )
-        keep = np.isin(self.degrees, self.degrees if degrees is None else list(degrees))
-        column = np.cumsum(keep) - 1
-        # a selection takes rows of the full class products, so selected
-        # functions are bit-identical to those of the full evaluation
-        classes = [
-            (members, block, column[funcs[sel]], sel)
-            for members, block, funcs, _ in self._classes
-            if (sel := keep[funcs]).any()
-        ]
-        n = A.shape[0]
-        UT = np.ascontiguousarray(A.T)
-        mono = np.empty((self.exponents.shape[0], min(n, _CHUNK)))
-        out = np.empty((int(column[-1]) + 1, n))
-        for lo in range(0, n, _CHUNK):
-            hi = min(n, lo + _CHUNK)
-            self._kernel(UT[:, lo:hi], mono[:, : hi - lo], classes, out[:, lo:hi])
+        out = np.empty((self.size, len(A)))
+        for _, lo, table in self._chunks(A[None]):
+            out[:, lo : lo + table.shape[1]] = table
         return out.T
 
     def cumulative_peaks(self, U) -> NDArray[np.float64]:
         """Per (n, d) sample of a (k, n, d) stack of unit vectors (not
         checked), the largest squared norm of the running sum of the basis
         evaluations in row order, the constant centred at its spherical mean.
-        Each sample streams through the chunks of :meth:`evaluate` with the
-        sum carried across chunks, bit-identical to cumulating the table of
-        :meth:`evaluate`, which is never built."""
-        k, n, d = U.shape
-        mono = np.empty((self.exponents.shape[0], min(n, _CHUNK)))
-        table = np.empty((self.size, min(n, _CHUNK)))
-        peaks = np.zeros(k)
-        for i, P in enumerate(np.ascontiguousarray(np.swapaxes(U, 1, 2))):
-            carry = 0.0
-            for lo in range(0, n, _CHUNK):
-                w = min(_CHUNK, n - lo)
-                cum = table[:, :w]
-                self._kernel(P[:, lo : lo + w], mono[:, :w], self._classes, cum)
-                cum[0] -= 1.0
+        The sum is carried across chunks, bit-identical to cumulating the
+        table of :meth:`evaluate`, which is never built."""
+        peaks = np.zeros(len(U))
+        for i, lo, cum in self._chunks(U):
+            cum[0] -= 1.0
+            if lo:
                 cum[:, 0] += carry
-                np.cumsum(cum, axis=1, out=cum)
-                carry = cum[:, -1].copy()
-                peaks[i] = np.maximum(peaks[i], np.einsum("ij,ij->j", cum, cum).max())
+            np.cumsum(cum, axis=1, out=cum)
+            carry = cum[:, -1].copy()
+            peaks[i] = np.maximum(peaks[i], np.einsum("ij,ij->j", cum, cum).max())
         return peaks
 
-    def _kernel(self, P, M, classes, out) -> None:
-        """Evaluate the (d, w) points P into the rows of out that the classes
-        select, with M an (N, w) scratch table for the monomials."""
-        M[0] = 1.0
-        for dst, src, length, j in self._steps:
-            np.multiply(M[src : src + length], P[j], out=M[dst : dst + length])
-        for members, block, rows, sel in classes:
-            out[rows] = (block @ M[members])[sel]
+    def sums(self, U) -> NDArray[np.float64]:
+        """The basis evaluations summed over the rows of an (n, d) array of
+        unit vectors (not checked): each chunk's row sums are added in order
+        to zeros, so the table of :meth:`evaluate` is never built."""
+        total = np.zeros(self.size)
+        for _, _, table in self._chunks(U[None]):
+            total += table.sum(axis=1)
+        return total
+
+    def _chunks(self, U):
+        """Yield (sample, chunk start, table) over a (k, n, d) stack of unit
+        vectors, the (m, w) table holding the basis at the chunk's w points.
+        The monomial buffer and the table are reused: each table is valid
+        until the next one is drawn."""
+        n = U.shape[1]
+        mono = np.empty((self.exponents.shape[0], min(n, _CHUNK)))
+        out = np.empty((self.size, min(n, _CHUNK)))
+        for i, P in enumerate(np.ascontiguousarray(np.swapaxes(U, 1, 2))):
+            for lo in range(0, n, _CHUNK):
+                w = min(_CHUNK, n - lo)
+                M, table = mono[:, :w], out[:, :w]
+                M[0] = 1.0
+                for dst, src, length, j in self._steps:
+                    np.multiply(M[src : src + length], P[j, lo : lo + w], out=M[dst : dst + length])
+                for members, block, funcs in self._classes:
+                    table[funcs] = block @ M[members]
+                yield i, lo, table
 
 
 def _orthogonalize_class(
@@ -326,7 +318,7 @@ def _build(d: int, max_degree: int) -> HarmonicBasis:
     for c, members in enumerate(classes.values()):
         funcs = np.array([s for s, r in enumerate(rows) if r[3] == c], dtype=np.intp)
         block = coefficients[np.ix_(funcs, members)]
-        blocks.append((np.array(members), block, funcs, slice(None)))
+        blocks.append((np.array(members), block, funcs))
 
     # Each monomial but 1 is its parent times u_j, j its first used coordinate.
     # In lex order the C(d-j+k-2, k) degree-k monomials in coordinates j+1..
@@ -372,6 +364,9 @@ def build_basis(d: int, max_degree: int = MAX_DEGREE) -> HarmonicBasis:
     max_degree : int
         Highest harmonic degree, between 1 and 4.
     """
+    for name, value in (("d", d), ("max_degree", max_degree)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise UsageError(f"{name} must be an integer, got {value!r}")
     if d < 2:
         raise UsageError(f"build_basis requires d >= 2, got {d}")
     if not 1 <= max_degree <= MAX_DEGREE:

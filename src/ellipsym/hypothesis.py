@@ -26,6 +26,7 @@ back through the estimated location and scatter.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -210,12 +211,11 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
     """
     X = validate_sample(X)
     n, d = X.shape
-    if not 0.0 <= epsilon < 1.0:
+    if not isinstance(epsilon, numbers.Real) or not 0.0 <= epsilon < 1.0:
         raise UsageError(f"epsilon must lie in [0, 1), got {epsilon}")
 
     W, S = _centered_cov(X, n - 1)
     norms, U = _directions(W @ sym_inv_sqrt(S))
-    del W  # free the residuals: the basis evaluation below is the memory peak
     if epsilon == 0.0:
         rho = 0.0
     else:
@@ -223,8 +223,7 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
         rho = float(np.partition(norms, k - 1)[k - 1])
 
     basis = build_basis(d, 4)
-    psi = basis.evaluate(U[norms > rho], degrees=(3, 4))
-    means = psi.sum(axis=0) / n
+    means = basis.sums(U[norms > rho])[basis.degree_slice(3).start :] / n
     stat = float(n * means @ means)
 
     df = harmonic_dim(d, 3) + harmonic_dim(d, 4)

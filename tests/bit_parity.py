@@ -9,8 +9,8 @@ reference value, and the ``describe()`` params with their floats in hex.
 The cases cover the six tests at d = 2..5 on a Gaussian and a skewed
 sample: hp with Monte Carlo and bootstrap calibration over its three sector
 schemes, pg and so with and without a location, and so's three radial
-families; ks past one 2,048-point evaluation chunk; and ks and hp on a
-sample with repeated rows, whose radii tie.  A last record holds
+families; ks and mpq past one 2,048-point evaluation chunk; and ks and hp
+on a sample with repeated rows, whose radii tie.  A last record holds
 ``chi2_sf`` over an (x, df) grid.
 """
 
@@ -86,6 +86,7 @@ def _cases():
                 )
     X = sample_mvn(np.zeros(3), np.eye(3), 2500, seed=300)
     yield "ks multi-chunk d3", lambda: ks_test(X, R=3, seed=8, workers=1)
+    yield "mpq multi-chunk d3", lambda: mpq_test(X)
     T = sample_skewed(3, 120, 3.0, seed=301)
     T[60:] = T[:60]
     yield "ks ties d3", lambda: ks_test(T, R=20, seed=9, workers=1)

@@ -252,6 +252,14 @@ def test_mpq_epsilon_guard(golden_20x2):
         mpq_test(golden_20x2, epsilon=1.0)
     with pytest.raises(UsageError):
         mpq_test(golden_20x2, epsilon=-0.1)
+    for epsilon in ("x", None):
+        with pytest.raises(UsageError, match="epsilon"):
+            mpq_test(golden_20x2, epsilon=epsilon)
+
+
+def test_ks_max_degree_must_be_an_integer(golden_20x2):
+    with pytest.raises(UsageError, match="must be an integer"):
+        ks_test(golden_20x2, R=5, workers=1, max_degree="4")
 
 
 def test_hp_guards(golden_20x2):
@@ -301,6 +309,29 @@ def test_degenerate_sample_rejected():
     X = np.tile(row, (10, 1)) + 1e-16
     with pytest.raises(DomainError):
         schott_test(X)
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        [["a", "b"]] * 10,  # not numbers
+        [[1.0, 2.0], [3.0]] + [[1.0, 2.0]] * 8,  # ragged
+        sample_mvn(Z2, np.eye(2), 10, seed=1) + 0.5j,  # complex
+    ],
+    ids=["strings", "ragged", "complex"],
+)
+def test_non_real_matrix_is_a_domain_error(X):
+    runs = {
+        "ks": lambda: ks_test(X, R=5, seed=0, workers=1),
+        "mpq": lambda: mpq_test(X),
+        "schott": lambda: schott_test(X),
+        "hp": lambda: huffer_park_test(X, 1, R=5, seed=0, workers=1),
+        "pg": lambda: pseudo_gaussian_test(X),
+        "so": lambda: skew_optimal_test(X),
+    }
+    for method, run in runs.items():
+        with pytest.raises(DomainError, match="not a real numeric matrix"):
+            run()
 
 
 def test_overflowing_sample_raises_typed_error():
@@ -425,6 +456,39 @@ def test_streaming_ks_matches_the_per_sample_tables(d):
         ranked = np.sort(norms, axis=-1)
         assert (ranked[1:, 1:] == ranked[1:, :-1]).any(axis=-1).all()
         assert np.array_equal(_ks_statistics(S, basis), naive.ks_table_oracle(norms, U, basis))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_streaming_mpq_matches_the_table_sum(d):
+    # the statistic from the row sums of the full ``evaluate`` table: equal
+    # bit for bit within one chunk, and within rounding of the in-order
+    # addition of chunk sums past it (epsilon = 0 keeps all n points)
+    basis = build_basis(d, 4)
+    degree3 = basis.degree_slice(3).start
+    rng = np.random.default_rng(70 + d)
+    for n in (50, 2047, 2048, 2049, 5000):
+        X = rng.standard_normal((n, d))
+        X[:, 0] **= 3
+        W, cov = _centered_cov(X, n - 1)
+        norms, U = _directions(W @ sym_inv_sqrt(cov))
+        for epsilon in (0.0, 0.05):
+            r = mpq_test(X, epsilon=epsilon)
+            kept = U[norms > r.params["radius_cutoff"]]
+            means = basis.evaluate(kept)[:, degree3:].sum(axis=0) / n
+            table_stat = float(n * means @ means)
+            if len(kept) <= 2048:
+                assert r.statistic == table_stat
+            else:
+                assert relclose(r.statistic, table_stat, 1e-12)
+
+
+def test_mpq_keeps_no_direction_when_every_radius_ties():
+    # the square (+-1, +-1): every standardized radius equals the cutoff, so
+    # the harmonic sums start and end at zero
+    X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    r = mpq_test(X)
+    assert r.statistic == 0.0
+    assert r.p_value == 1.0
 
 
 def test_hp_shells_break_ties_in_row_order():
