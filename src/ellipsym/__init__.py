@@ -14,93 +14,55 @@ Six tests are provided, each returning a :class:`TestResult`:
 Supporting machinery is exported too: Tyler's scatter estimator, the
 orthonormal spherical-harmonic bases, samplers, the chi-squared tail, and
 the replicate engine behind the resampled p-values.
+
+Exports load on first use: ``import ellipsym`` imports no submodule (and so
+no numpy), and the first access to a name imports the module that defines
+it.  ``ellipsym.cli`` relies on this to set up numpy before it is loaded.
+A submodule is an attribute of the package only once it has been imported:
+``ellipsym.linalg`` needs ``import ellipsym.linalg`` (or a prior use of one of
+its names) first.
 """
 
-from .exceptions import (
-    ConvergenceError,
-    DataError,
-    DomainError,
-    EllipsymError,
-    NumericError,
-    ParseError,
-    UsageError,
-)
-from .linalg import gram_schmidt_root, sym_inv_sqrt, sym_sqrt
-from .estimators import (
-    sample_cov,
-    tyler_scatter,
-    validate_sample,
-)
-from .harmonics import HarmonicBasis, build_basis, harmonic_dim
-from .distributions import (
-    NullLaw,
-    RadialDensity,
-    chi2_sf,
-    pvalue,
-    sample_mvn,
-    sample_mvt,
-    sample_skewed,
-    sample_uniform_sphere,
-)
-from .resample import (
-    ALL_BUT_ONE,
-    BootstrapPlan,
-    replicate_rng,
-    resolve_workers,
-    run_replicates,
-)
-from .hypothesis import (
-    METHOD_LABELS,
-    TestResult,
-    huffer_park_test,
-    ks_test,
-    mpq_test,
-    pseudo_gaussian_test,
-    schott_df,
-    schott_test,
-    skew_optimal_test,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_BUT_ONE",
-    "BootstrapPlan",
-    "ConvergenceError",
-    "DataError",
-    "DomainError",
-    "EllipsymError",
-    "HarmonicBasis",
-    "METHOD_LABELS",
-    "NullLaw",
-    "NumericError",
-    "ParseError",
-    "RadialDensity",
-    "TestResult",
-    "UsageError",
-    "build_basis",
-    "chi2_sf",
-    "gram_schmidt_root",
-    "harmonic_dim",
-    "huffer_park_test",
-    "ks_test",
-    "mpq_test",
-    "pseudo_gaussian_test",
-    "pvalue",
-    "replicate_rng",
-    "resolve_workers",
-    "run_replicates",
-    "sample_cov",
-    "sample_mvn",
-    "sample_mvt",
-    "sample_skewed",
-    "sample_uniform_sphere",
-    "schott_df",
-    "schott_test",
-    "skew_optimal_test",
-    "sym_inv_sqrt",
-    "sym_sqrt",
-    "tyler_scatter",
-    "validate_sample",
-    "__version__",
-]
+#: submodule -> the public names it defines
+_EXPORTS = {
+    "exceptions": (
+        "ConvergenceError", "DataError", "DomainError", "EllipsymError",
+        "NumericError", "ParseError", "UsageError",
+    ),
+    "linalg": ("gram_schmidt_root", "sym_inv_sqrt", "sym_sqrt"),
+    "estimators": ("sample_cov", "tyler_scatter", "validate_sample"),
+    "harmonics": ("HarmonicBasis", "build_basis", "harmonic_dim"),
+    "distributions": (
+        "NullLaw", "RadialDensity", "chi2_sf", "pvalue", "sample_mvn",
+        "sample_mvt", "sample_skewed", "sample_uniform_sphere",
+    ),
+    "resample": (
+        "ALL_BUT_ONE", "BootstrapPlan", "replicate_rng", "resolve_workers",
+        "run_replicates",
+    ),
+    "hypothesis": (
+        "METHOD_LABELS", "TestResult", "huffer_park_test", "ks_test", "mpq_test",
+        "pseudo_gaussian_test", "schott_df", "schott_test", "skew_optimal_test",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

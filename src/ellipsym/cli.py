@@ -7,6 +7,10 @@ Three subcommands:
 ``ellipsym simulate``  write a synthetic CSV sample for the other commands
 
 Exit codes: 0 success, 1 computation failure, 2 usage error.
+
+Importing this module before numpy, in any program, loads numpy's OpenBLAS
+with one thread for the rest of that process (see the note at the top of
+the imports), unless an OpenBLAS thread variable is already set.
 """
 
 from __future__ import annotations
@@ -20,6 +24,19 @@ import operator
 import os
 import sys
 from typing import Optional
+
+# BLAS products here are d x d or skinny n x d, and --jobs is the only
+# parallelism, so unless the user chose a thread count, numpy's OpenBLAS
+# loads with one thread (an idle second one spins for ~0.1 s after each
+# call).  The variable is removed again so child processes see the user's
+# environment.  It has no effect if numpy was imported before this module;
+# if not, the one thread holds for the whole process, also outside the CLI.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 import numpy as np
 

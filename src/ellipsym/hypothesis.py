@@ -351,7 +351,7 @@ def _hp_pearson(tables) -> NDArray[np.float64]:
 def _hp_check(n, d, c, sector, g):
     if sector not in HP_SECTORS:
         raise UsageError(f"sector must be one of {HP_SECTORS}, got {sector!r}")
-    if not isinstance(c, (int, np.integer)) or c < 1:
+    if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 1:
         raise UsageError(f"shell count c must be a positive integer, got {c!r}")
     if c > n:
         raise UsageError(f"shell count c = {c} exceeds the sample size {n}")
@@ -366,7 +366,7 @@ def _hp_check(n, d, c, sector, g):
     else:
         if d != 2:
             raise UsageError("bivariate angle sectors require d = 2")
-        if g is None or not isinstance(g, (int, np.integer)) or g < 1:
+        if isinstance(g, bool) or not isinstance(g, (int, np.integer)) or g < 1:
             raise UsageError("bivariate angle sectors require a positive integer g")
         g = int(g)
     if g * c > _HP_MAX_CELLS:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -599,3 +600,62 @@ print("scipy" in sys.modules and sys.modules["scipy"] is not None)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# ---------------------------------------------------------------------------
+# package import and BLAS threads
+# ---------------------------------------------------------------------------
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# prints the thread count of numpy's bundled OpenBLAS, or None if not found
+PRINT_BLAS_THREADS = """
+import ctypes, glob, pathlib
+import numpy
+libs = pathlib.Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+         "openblas_get_num_threads")
+fns = [getattr(ctypes.CDLL(path), name, None)
+       for path in glob.glob(str(libs / "*openblas*")) for name in names]
+print(next((fn() for fn in fns if fn is not None), None))
+"""
+
+
+def fresh_python(code, **env):
+    """stdout lines of ``code`` run in a new interpreter, with no BLAS
+    thread variable set except those in ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_package_import_loads_no_numpy():
+    code = "import sys, ellipsym; print('numpy' in sys.modules)"
+    assert fresh_python(code) == ["False"]
+
+
+def test_every_export_resolves_and_is_listed():
+    code = """
+import ellipsym
+listed = set(dir(ellipsym))
+print(all(name in listed for name in ellipsym.__all__))
+namespace = {}
+exec("from ellipsym import *", namespace)
+print(all(namespace[name] is getattr(ellipsym, name) for name in ellipsym.__all__))
+print(ellipsym.ks_test is ellipsym.hypothesis.ks_test, hasattr(ellipsym, "nope"))
+"""
+    assert fresh_python(code) == ["True", "True", "True", "False"]
+
+
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
+                         ids=["unset", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_import_sets_one_blas_thread_unless_the_user_chose(env):
+    default = fresh_python(PRINT_BLAS_THREADS)[0]
+    if default == "None":
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    code = ("import os\nbefore = dict(os.environ)\nimport ellipsym.cli\n"
+            "print(dict(os.environ) == before)\n" + PRINT_BLAS_THREADS)
+    expected = min(2, int(default)) if env else 1
+    assert fresh_python(code, **env) == ["True", str(expected)]

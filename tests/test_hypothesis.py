@@ -276,6 +276,11 @@ def test_hp_guards(golden_20x2):
     X3 = sample_mvn(np.zeros(3), np.eye(3), 30, seed=1)
     with pytest.raises(UsageError):
         huffer_park_test(X3, 2, sector="bivariateangles", g=4, R=10)
+    # bools are not counts, as in BootstrapPlan and build_basis
+    with pytest.raises(UsageError, match="shell count"):
+        huffer_park_test(golden_20x2, True, R=5, seed=0, workers=1)
+    with pytest.raises(UsageError, match="positive integer g"):
+        huffer_park_test(golden_20x2, 2, sector="bivariateangles", g=True, R=5)
 
 
 @pytest.mark.parametrize(
