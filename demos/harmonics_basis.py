@@ -20,7 +20,7 @@ for d in range(2, 7):
 print()
 
 d = 3
-basis = build_basis(d, max_degree=4)
+basis = build_basis(d)
 U = sample_uniform_sphere(d, 200_000, rng)
 B = basis.evaluate(U)
 

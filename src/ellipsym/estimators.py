@@ -23,6 +23,8 @@ from .exceptions import ConvergenceError, DomainError, NumericError, UsageError
 from .linalg import _spd, sym_inv_sqrt
 
 ZERO_NORM_TOL = 1e-12
+TYLER_TOL = 1e-12
+TYLER_MAX_ITER = 500
 
 
 def validate_sample(X) -> NDArray[np.float64]:
@@ -89,12 +91,7 @@ def sample_cov(X, denominator: str = "n") -> NDArray[np.float64]:
     return _spd(_centered_cov(A, n if denominator == "n" else n - 1)[1])
 
 
-def tyler_scatter(
-    X,
-    location,
-    tol: float = 1e-12,
-    max_iter: int = 500,
-) -> NDArray[np.float64]:
+def tyler_scatter(X, location) -> NDArray[np.float64]:
     """Tyler's M-estimator of scatter about a given location.
 
     Runs the fixed-point iteration
@@ -103,9 +100,9 @@ def tyler_scatter(
 
     starting at the second-moment matrix about ``location`` and trace-
     normalizing each iterate.  Convergence is declared when the fixed-point
-    residual  || V^{-1/2} M(V) V^{-1/2} - I ||_max  drops below ``tol``,
+    residual  || V^{-1/2} M(V) V^{-1/2} - I ||_max  drops below ``TYLER_TOL``,
     i.e. when the direction vectors s_i = V^{-1/2} w_i / ||V^{-1/2} w_i||
-    satisfy (d/n) sum_i s_i s_i' = I to within tol.  One root V^{-1/2} per
+    satisfy (d/n) sum_i s_i s_i' = I to within 1e-12.  One root V^{-1/2} per
     iteration gives that residual and the squared norms w_i' V^{-1} w_i =
     ||V^{-1/2} w_i||^2; with the last iteration's norms the returned matrix
     is rescaled so that (1/n) sum_i w_i' V^{-1} w_i = d.
@@ -122,8 +119,8 @@ def tyler_scatter(
         If an iterate is numerically singular, as when one observation is
         many orders of magnitude farther from ``location`` than the rest.
     ConvergenceError
-        If the residual has not dropped below ``tol`` after ``max_iter``
-        iterations; the message carries the last residual.
+        If the residual is still at least 1e-12 after ``TYLER_MAX_ITER``
+        (500) iterations; the message carries the last residual.
     """
     A = validate_sample(X)
     n, d = A.shape
@@ -147,7 +144,7 @@ def tyler_scatter(
 
     V *= d / np.trace(V)
     resid = np.inf
-    for _ in range(max_iter):
+    for _ in range(TYLER_MAX_ITER):
         try:
             iroot = sym_inv_sqrt(V)
         except DomainError as exc:
@@ -161,13 +158,13 @@ def tyler_scatter(
             raise DomainError("scatter iterate lost positive definiteness")
         M = (W / q[:, None]).T @ W * (d / n)
         resid = np.max(np.abs(iroot @ M @ iroot - np.eye(d)))
-        if resid < tol:
+        if resid < TYLER_TOL:
             break
         V = M * (d / np.trace(M))
     else:
         raise ConvergenceError(
-            f"Tyler iteration did not converge in {max_iter} steps "
-            f"(last residual {resid:.3e}, tol {tol:.1e})"
+            f"Tyler iteration did not converge in {TYLER_MAX_ITER} steps "
+            f"(last residual {resid:.3e}, tol {TYLER_TOL:.1e})"
         )
     # scale fix: average squared Mahalanobis norm equals d (q is about V)
     return V * (q.mean() / d)

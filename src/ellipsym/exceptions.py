@@ -6,6 +6,8 @@ CLI maps failures to exit codes: usage errors (bad options) exit with 2,
 everything else with 1.
 """
 
+import numbers
+
 
 class EllipsymError(Exception):
     """Base class for all errors raised by ellipsym."""
@@ -35,3 +37,10 @@ class NumericError(EllipsymError, ArithmeticError):
 
 class ConvergenceError(NumericError):
     """An iterative procedure failed to converge within its iteration cap."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; numpy integers count as integers, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -13,13 +13,13 @@ Moments of monomials under the uniform probability measure on the sphere,
     E[prod u_j^{a_j}] = prod_j (a_j - 1)!!  /  prod_{t=0}^{M-1} (d + 2t),
 
 with M = (sum a_j)/2 (zero when any a_j is odd), share the common
-denominator prod_{t<T}(d+2t), so the Gram matrix of the monomials is an
-integer matrix over that denominator and the Gram-Schmidt recurrence can
-be run fraction-free.  Exact arithmetic makes two things trivial that are
-delicate in floating point: rank decisions (a dependent candidate reduces
-to exactly zero) and parity (each basis function is supported on monomials
-of a single exponent-parity class, so psi(-u) = (-1)^k psi(u) holds
-exactly).
+denominator prod_{t<4}(d+2t) (M <= 4 for two monomials' product), so the
+Gram matrix of the monomials is an integer matrix over that denominator
+and the Gram-Schmidt recurrence can be run fraction-free.  Exact arithmetic
+makes two things trivial that are delicate in floating point: rank
+decisions (a dependent candidate reduces to exactly zero) and parity (each
+basis function is supported on monomials of a single exponent-parity
+class, so psi(-u) = (-1)^k psi(u) holds exactly).
 
 The moment matrix is block diagonal across exponent-parity classes
 (moments vanish unless every coordinate's exponent parity matches), so the
@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import UsageError
+from .exceptions import UsageError, _integer
 
 MAX_DEGREE = 4
 
@@ -62,6 +62,7 @@ def harmonic_dim(d: int, k: int) -> int:
 
     C(d+k-1, k) - C(d+k-3, k-2) for k >= 2; 1 for k = 0; d for k = 1.
     """
+    d, k = _integer("d", d), _integer("k", k)
     if d < 2:
         raise UsageError(f"harmonic_dim requires d >= 2, got {d}")
     if k < 0:
@@ -94,9 +95,9 @@ def _double_factorial(m: int) -> int:
     return out
 
 
-def _moment_numerator(exps: Sequence[int], d: int, T: int) -> int:
+def _moment_numerator(exps: Sequence[int], d: int) -> int:
     """Integer numerator of E[prod u_j^{a_j}] over the common denominator
-    prod_{t<T}(d+2t).  Zero if any exponent is odd."""
+    prod_{t<MAX_DEGREE}(d+2t).  Zero if any exponent is odd."""
     M = 0
     num = 1
     for a in exps:
@@ -104,19 +105,18 @@ def _moment_numerator(exps: Sequence[int], d: int, T: int) -> int:
             return 0
         M += a >> 1
         num *= _double_factorial(a - 1)
-    for t in range(M, T):
+    for t in range(M, MAX_DEGREE):
         num *= d + 2 * t
     return num
 
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """An evaluable orthonormal basis of spherical harmonics.
+    """An evaluable orthonormal basis of spherical harmonics of degrees 0..4.
 
     Attributes
     ----------
     d : dimension of the ambient space.
-    max_degree : highest harmonic degree included (<= 4).
     degrees : integer array of length m, the degree of each basis function.
         Functions are ordered by degree; the first is the constant 1.
     exponents : (N, d) integer array of the monomials the functions are
@@ -126,7 +126,6 @@ class HarmonicBasis:
     """
 
     d: int
-    max_degree: int
     degrees: NDArray[np.int64]
     exponents: NDArray[np.int64]
     coefficients: NDArray[np.float64]
@@ -229,7 +228,6 @@ def _orthogonalize_class(
     candidates: list[tuple[int, int]],
     exps: list[tuple[int, ...]],
     d: int,
-    T: int,
 ) -> list[tuple[int, list[int], int]]:
     """Fraction-free Gram-Schmidt within one exponent-parity class.
 
@@ -237,12 +235,12 @@ def _orthogonalize_class(
     pairs (degree, global index) in processing order.  Returns accepted
     triples (global candidate index, integer coefficient vector over the
     class members, squared-norm numerator alpha), where the true squared
-    norm is alpha / prod_{t<T}(d+2t).
+    norm is alpha / prod_{t<4}(d+2t).
     """
     local = {gidx: i for i, gidx in enumerate(members)}
     nloc = len(members)
     gram = [
-        [_moment_numerator([a + b for a, b in zip(exps[gi], exps[gj])], d, T)
+        [_moment_numerator([a + b for a, b in zip(exps[gi], exps[gj])], d)
          for gj in members]
         for gi in members
     ]
@@ -284,29 +282,28 @@ def _to_float(v: list[int], alpha: int, denom: int) -> NDArray[np.float64]:
     return vf / norm
 
 
-def _build(d: int, max_degree: int) -> HarmonicBasis:
+def _build(d: int) -> HarmonicBasis:
     mono: list[tuple[int, ...]] = []
     degree_of: list[int] = []
-    for k in range(max_degree + 1):
+    for k in range(MAX_DEGREE + 1):
         ms = _monomials_of_degree(d, k)
         mono.extend(ms)
         degree_of.extend([k] * len(ms))
     N = len(mono)
-    T = max_degree  # pairwise products have total half-degree <= max_degree
 
     classes: dict[tuple[int, ...], list[int]] = {}
     for idx, e in enumerate(mono):
         classes.setdefault(tuple(a & 1 for a in e), []).append(idx)
 
     denom = 1
-    for t in range(T):
+    for t in range(MAX_DEGREE):
         denom *= d + 2 * t
 
     # (degree, generating candidate index, dense coefficient row, class)
     rows: list[tuple[int, int, NDArray[np.float64], int]] = []
     for c, members in enumerate(classes.values()):
         cands = sorted((degree_of[g], g) for g in members)
-        for gidx, v, alpha in _orthogonalize_class(members, cands, mono, d, T):
+        for gidx, v, alpha in _orthogonalize_class(members, cands, mono, d):
             dense = np.zeros(N)
             dense[members] = _to_float(v, alpha, denom)
             rows.append((degree_of[gidx], gidx, dense, c))
@@ -324,12 +321,12 @@ def _build(d: int, max_degree: int) -> HarmonicBasis:
     # In lex order the C(d-j+k-2, k) degree-k monomials in coordinates j+1..
     # come first, then those with first coordinate j, whose parents are, in
     # order, the leading C(d-j+k-2, k-1) of degree k - 1 (coordinates j..).
-    start = [degree_of.index(k) for k in range(max_degree + 1)]
+    start = [degree_of.index(k) for k in range(MAX_DEGREE + 1)]
     steps = tuple(
         (start[k] + math.comb(d - j + k - 2, k), start[k - 1], math.comb(d - j + k - 2, k - 1), j)
-        for k in range(1, max_degree + 1) for j in range(d)
+        for k in range(1, MAX_DEGREE + 1) for j in range(d)
     )
-    for k in range(max_degree + 1):
+    for k in range(MAX_DEGREE + 1):
         got = int(np.count_nonzero(degrees == k))
         if got != harmonic_dim(d, k):
             raise ArithmeticError(
@@ -337,7 +334,6 @@ def _build(d: int, max_degree: int) -> HarmonicBasis:
             )
     return HarmonicBasis(
         d=d,
-        max_degree=max_degree,
         degrees=degrees,
         exponents=np.array(mono, dtype=np.int64),
         coefficients=coefficients,
@@ -346,37 +342,26 @@ def _build(d: int, max_degree: int) -> HarmonicBasis:
     )
 
 
-_cache: dict[tuple[int, int], HarmonicBasis] = {}
+_cache: dict[int, HarmonicBasis] = {}
 _cache_lock = threading.Lock()
 
 
-def build_basis(d: int, max_degree: int = MAX_DEGREE) -> HarmonicBasis:
-    """Orthonormal spherical-harmonic basis of degrees 0..max_degree.
+def build_basis(d: int) -> HarmonicBasis:
+    """Orthonormal spherical-harmonic basis of degrees 0..4 on S^{d-1}.
 
-    The basis for each (d, max_degree) pair is built once and cached; the
-    construction is deterministic (monomials in degree order, lex order
-    within a degree), so repeated builds agree bit for bit.
+    The basis for each d is built once and cached; the construction is
+    deterministic (monomials in degree order, lex order within a degree),
+    so repeated builds agree bit for bit.
 
     Parameters
     ----------
     d : int
         Ambient dimension, at least 2.
-    max_degree : int
-        Highest harmonic degree, between 1 and 4.
     """
-    for name, value in (("d", d), ("max_degree", max_degree)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise UsageError(f"{name} must be an integer, got {value!r}")
+    d = _integer("d", d)
     if d < 2:
         raise UsageError(f"build_basis requires d >= 2, got {d}")
-    if not 1 <= max_degree <= MAX_DEGREE:
-        raise UsageError(
-            f"max_degree must be between 1 and {MAX_DEGREE}, got {max_degree}"
-        )
-    key = (d, max_degree)
     with _cache_lock:
-        basis = _cache.get(key)
-        if basis is None:
-            basis = _build(d, max_degree)
-            _cache[key] = basis
-    return basis
+        if d not in _cache:
+            _cache[d] = _build(d)
+        return _cache[d]

@@ -41,8 +41,8 @@ from .estimators import (
     tyler_scatter,
     validate_sample,
 )
-from .exceptions import DomainError, NumericError, UsageError
-from .harmonics import build_basis, harmonic_dim
+from .exceptions import DomainError, NumericError, UsageError, _integer
+from .harmonics import MAX_DEGREE, build_basis, harmonic_dim
 from .linalg import gram_schmidt_root, sym_inv_sqrt, sym_sqrt
 from .resample import ALL_BUT_ONE, BootstrapPlan, run_replicates
 
@@ -95,6 +95,22 @@ class TestResult:
 def _jsonable(v):
     # tolist gives Python values for arrays and numpy scalars alike
     return v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+
+
+def _prepare(X, location=None):
+    """(X, location) validated, and both scaled by the power of two that brings
+    their largest |entry| into [0.5, 1) if it lies outside [2^-256, 2^256]:
+    exact, and every test is invariant to it, so no result depends on magnitude."""
+    X = validate_sample(X)
+    peak = np.abs(X).max()
+    if location is not None:
+        location = np.asarray(location, dtype=float)
+        peak = max(peak, np.abs(location).max(initial=0.0))
+    if not 2.0**-256 <= peak <= 2.0**256:
+        shift = -math.frexp(peak)[1]
+        X = np.ldexp(X, shift)
+        location = None if location is None else np.ldexp(location, shift)
+    return X, location
 
 
 def _directions(Y):
@@ -163,13 +179,7 @@ def _ks_statistic(X, basis) -> float:
     return float(_ks_statistics(X[None], basis)[0])
 
 
-def ks_test(
-    X,
-    R: int = 1000,
-    seed: int = 0,
-    workers: int = ALL_BUT_ONE,
-    max_degree: int = 4,
-) -> TestResult:
+def ks_test(X, R: int = 1000, seed: int = 0, workers: int = ALL_BUT_ONE) -> TestResult:
     """Koltchinskii-Sakhanenko test, bootstrap calibrated.
 
     Observations are ordered by the norm of the standardized residual and
@@ -177,10 +187,10 @@ def ks_test(
     cumulatively; the statistic is n^{-1/2} times the largest Euclidean
     norm reached by that cumulative sum.
     """
-    X = validate_sample(X)
+    X, _ = _prepare(X)
     n, d = X.shape
-    basis = build_basis(d, max_degree)
-    params = {"n": n, "d": d, "R": R, "seed": seed, "max_degree": max_degree}
+    basis = build_basis(d)
+    params = {"n": n, "d": d, "R": R, "seed": seed, "max_degree": MAX_DEGREE}
     if n <= basis.size:
         msg = (
             f"sample size {n} does not exceed the harmonic basis size "
@@ -209,7 +219,7 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
     Euclidean norm of the remaining harmonic averages, with null law
     (1 - epsilon) times chi-squared.
     """
-    X = validate_sample(X)
+    X, _ = _prepare(X)
     n, d = X.shape
     if not isinstance(epsilon, numbers.Real) or not 0.0 <= epsilon < 1.0:
         raise UsageError(f"epsilon must lie in [0, 1), got {epsilon}")
@@ -222,7 +232,7 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
         k = math.ceil(epsilon * n)
         rho = float(np.partition(norms, k - 1)[k - 1])
 
-    basis = build_basis(d, 4)
+    basis = build_basis(d)
     means = basis.sums(U[norms > rho])[basis.degree_slice(3).start :] / n
     stat = float(n * means @ means)
 
@@ -239,6 +249,7 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
 
 def schott_df(d: int) -> int:
     """Degrees of freedom of Schott's statistic: d^2 + d(d-1)(d^2+7d-6)/24 - 1."""
+    d = _integer("d", d)
     if d < 2:
         raise UsageError(f"schott_df requires d >= 2, got {d}")
     return d * d + d * (d - 1) * (d * d + 7 * d - 6) // 24 - 1
@@ -251,7 +262,7 @@ def schott_test(X) -> TestResult:
     fourth-moment matrix M4* against the value an elliptical law with the
     sample's own radial moments would produce.  Null law chi-squared.
     """
-    X = validate_sample(X)
+    X, _ = _prepare(X)
     n, d = X.shape
     W, S = _centered_cov(X, n - 1)
     Y = W @ sym_inv_sqrt(S)
@@ -393,7 +404,7 @@ def huffer_park_test(
     by Monte Carlo: the statistic's distribution for a Gaussian sample of
     the same size, which is what the chi-bar asymptotics approximate.
     """
-    X = validate_sample(X)
+    X, _ = _prepare(X)
     n, d = X.shape
     c, g_eff, sector = _hp_check(n, d, c, sector, g)
     if R is None and sector != "orthants":
@@ -469,7 +480,7 @@ def pseudo_gaussian_test(X, location=None) -> TestResult:
     and signed coordinate permutations, but not under rotations or general
     linear maps.
     """
-    X = validate_sample(X)
+    X, location = _prepare(X, location)
     n, d = X.shape
     norms, U = _tyler_directions(X, location)
 
@@ -525,7 +536,7 @@ def skew_optimal_test(
     "t" (param nu > 2, default 4), "logistic" (no param), or "powerExp"
     (param beta > 0, beta != 1, default 0.5).  Null law chi2(d).
     """
-    X = validate_sample(X)
+    X, location = _prepare(X, location)
     n, d = X.shape
 
     if location is not None:

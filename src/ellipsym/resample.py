@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .exceptions import EllipsymError, NumericError, UsageError
+from .exceptions import EllipsymError, NumericError, UsageError, _integer
 
 #: sentinel for "use every core but one" (at least one).
 ALL_BUT_ONE = -1
@@ -49,10 +49,7 @@ class BootstrapPlan:
 
     def __post_init__(self):
         for name in ("R", "seed", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise UsageError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         # the seed hash takes each replicate index as one 32-bit word
         if not 1 <= self.R <= 2**32:
             raise UsageError(f"R (replicate count) must be in [1, 2**32], got {self.R}")

@@ -77,7 +77,7 @@ def random_orthogonal(d, rng):
 def test_criterion_01_oracle_equivalence(golden_20x2):
     X = golden_20x2
     checks = {
-        "ks": (_ks_statistic(X, build_basis(2, 4)), naive.ks_statistic_oracle(X)),
+        "ks": (_ks_statistic(X, build_basis(2)), naive.ks_statistic_oracle(X)),
         "mpq": (mpq_test(X).statistic, naive.mpq_statistic_oracle(X)),
         "schott": (schott_test(X).statistic, naive.schott_statistic_oracle(X)),
         "hp": (
@@ -187,7 +187,7 @@ def test_criterion_05_affine_invariance():
         )
         b = rng.normal(0.0, 3.0, d)
         XA = X @ A.T + b
-        basis = build_basis(d, 4)
+        basis = build_basis(d)
         worst["ks"] = max(
             worst["ks"], rel_gap(_ks_statistic(XA, basis), _ks_statistic(X, basis))
         )
@@ -273,7 +273,7 @@ def test_criterion_06_bootstrap_determinism():
 def test_criterion_07_harmonics():
     rng = default_rng(777)
     for d in (2, 3, 4, 5):
-        basis = build_basis(d, 4)
+        basis = build_basis(d)
         gram = np.zeros((basis.size, basis.size))
         total = 1_000_000
         chunk = 100_000

@@ -16,11 +16,12 @@ def test_harmonic_dim_table():
     assert [harmonic_dim(3, k) for k in range(5)] == [1, 3, 5, 7, 9]
     assert [harmonic_dim(4, k) for k in range(5)] == [1, 4, 9, 16, 25]
     assert [harmonic_dim(5, k) for k in range(5)] == [1, 5, 14, 30, 55]
+    assert harmonic_dim(np.int64(3), np.uint8(2)) == 5
 
 
 def test_basis_sizes_and_degrees():
     for d in (2, 3, 4, 5):
-        basis = build_basis(d, 4)
+        basis = build_basis(d)
         for k in range(5):
             sl = basis.degree_slice(k)
             assert sl.stop - sl.start == harmonic_dim(d, k)
@@ -28,30 +29,24 @@ def test_basis_sizes_and_degrees():
 
 
 def test_basis_is_cached():
-    assert build_basis(3, 4) is build_basis(3, 4)
+    assert build_basis(3) is build_basis(3)
 
 
 def test_basis_argument_guards():
     with pytest.raises(UsageError):
-        build_basis(1, 4)
-    with pytest.raises(UsageError):
-        build_basis(3, 0)
-    with pytest.raises(UsageError):
-        build_basis(3, 5)
+        build_basis(1)
 
 
-@pytest.mark.parametrize(
-    "args", [(3, 2.0), (3.0, 4), (True, 4), (3, True), (3, "4")], ids=str
-)
-def test_basis_refuses_non_integer_arguments(args):
-    build_basis(3, 2)  # a cached (3, 2) must not answer for (3, 2.0)
+@pytest.mark.parametrize("d", [3.0, True, "3"], ids=repr)
+def test_basis_refuses_non_integer_arguments(d):
+    build_basis(3)  # a cached 3 must not answer for 3.0
     with pytest.raises(UsageError, match="must be an integer"):
-        build_basis(*args)
+        build_basis(d)
 
 
 def test_orthonormality_monte_carlo(rng):
     for d in (2, 3, 4):
-        basis = build_basis(d, 4)
+        basis = build_basis(d)
         U = unit_rows(rng, 40_000, d)
         psi = basis.evaluate(U)
         G = psi.T @ psi / len(U)
@@ -60,7 +55,7 @@ def test_orthonormality_monte_carlo(rng):
 
 def test_constant_harmonic_is_one(rng):
     for d in (2, 4):
-        basis = build_basis(d, 4)
+        basis = build_basis(d)
         psi = basis.evaluate(unit_rows(rng, 10, d))
         assert np.allclose(psi[:, 0], 1.0)
 
@@ -69,7 +64,7 @@ def test_pointwise_degree_sum_equals_dimension(rng):
     # sum over the degree-k functions of psi(u)^2 is the constant dim H(d, k)
     # for every u: the reproducing kernel at (u, u) is rotation invariant.
     for d in (2, 3, 5):
-        basis = build_basis(d, 4)
+        basis = build_basis(d)
         psi = basis.evaluate(unit_rows(rng, 200, d))
         for k in range(5):
             sl = basis.degree_slice(k)
@@ -80,7 +75,7 @@ def test_pointwise_degree_sum_equals_dimension(rng):
 def test_evaluate_matches_dense_reference(rng):
     # monomials and the dense coefficient matrix, over more than one chunk
     for d in (2, 3, 4, 5):
-        basis = build_basis(d, 4)
+        basis = build_basis(d)
         U = unit_rows(rng, 2100, d)
         mono = np.prod(U[:, None, :] ** basis.exponents, axis=2)
         dense = mono @ basis.coefficients.T
@@ -91,7 +86,7 @@ def test_evaluate_matches_dense_reference(rng):
 
 def test_parity_is_exact(rng):
     for d in (2, 3, 4, 6, 10):
-        basis = build_basis(d, 4)
+        basis = build_basis(d)
         U = unit_rows(rng, 2100 if d == 6 else 500, d)
         plus = basis.evaluate(U)
         minus = basis.evaluate(-U)
@@ -101,7 +96,7 @@ def test_parity_is_exact(rng):
 
 def test_rotation_preserves_degree_norms(rng):
     for d in (2, 3):
-        basis = build_basis(d, 4)
+        basis = build_basis(d)
         U = unit_rows(rng, 300, d)
         Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
         a = basis.evaluate(U)
@@ -116,7 +111,7 @@ def test_rotation_preserves_degree_norms(rng):
 def test_circle_degree_norms_match_closed_form(rng):
     # in d = 2 the degree-k pair spans sqrt(2) cos/sin(k phi), so the squared
     # norms per degree must match the closed-form circle harmonics exactly
-    basis = build_basis(2, 4)
+    basis = build_basis(2)
     U = unit_rows(rng, 50, 2)
     psi = basis.evaluate(U)
     for i, u in enumerate(U):
@@ -132,7 +127,7 @@ def test_circle_degree_norms_match_closed_form(rng):
 
 
 def test_evaluate_guards(rng):
-    basis = build_basis(2, 4)
+    basis = build_basis(2)
     with pytest.raises(UsageError):
         basis.evaluate(np.array([[1.0, 1.0]]))  # not a unit vector
     with pytest.raises(UsageError):

@@ -16,20 +16,22 @@ import pytest
 import naive
 from ellipsym import (
     DomainError,
-    EllipsymError,
     NullLaw,
     UsageError,
     build_basis,
+    harmonic_dim,
     huffer_park_test,
     ks_test,
     mpq_test,
     pseudo_gaussian_test,
     run_replicates,
+    sample_cov,
     sample_mvn,
     sample_skewed,
     schott_df,
     schott_test,
     skew_optimal_test,
+    tyler_scatter,
 )
 from ellipsym.hypothesis import (
     HP_CALIBRATION_SIMS,
@@ -87,7 +89,7 @@ def relclose(a, b, tol=1e-9):
 
 
 def test_ks_statistic_golden(golden_20x2):
-    stat = _ks_statistic(golden_20x2, build_basis(2, 4))
+    stat = _ks_statistic(golden_20x2, build_basis(2))
     assert relclose(stat, GOLDEN_20["ks"], 1e-12)
 
 
@@ -159,7 +161,7 @@ def test_so_golden(golden_20x2):
 
 def test_oracle_agreement_fresh_draw():
     X = sample_mvn(np.array([0.5, -1.0]), np.array([[2.0, 0.4], [0.4, 1.0]]), 35, seed=77)
-    assert relclose(_ks_statistic(X, build_basis(2, 4)), naive.ks_statistic_oracle(X), 1e-10)
+    assert relclose(_ks_statistic(X, build_basis(2)), naive.ks_statistic_oracle(X), 1e-10)
     assert relclose(mpq_test(X, 0.1).statistic, naive.mpq_statistic_oracle(X, 0.1), 1e-10)
     assert relclose(schott_test(X).statistic, naive.schott_statistic_oracle(X), 1e-9)
     assert relclose(hp_statistic(X, 4, "orthants", 4), naive.hp_statistic_oracle(X, 4), 1e-12)
@@ -175,7 +177,7 @@ def test_oracle_agreement_fresh_draw():
 def test_kernel_oracle_agreement_any_d(d):
     # the addition-theorem kernels share no code with the harmonic basis
     X = sample_skewed(d, 60, slant=2.0, seed=40 + d)
-    ks = _ks_statistic(X, build_basis(d, 4))
+    ks = _ks_statistic(X, build_basis(d))
     assert relclose(ks, naive.ks_statistic_kernel_oracle(X), 1e-9)
     for eps in (0.0, 0.05):
         mpq = mpq_test(X, eps).statistic
@@ -234,6 +236,19 @@ def test_schott_df_values():
     # the closed form is C(d+3, 4) - 1
     for d in range(2, 12):
         assert schott_df(d) == math.comb(d + 3, 4) - 1
+    assert schott_df(np.int32(3)) == 14
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [(schott_df, (2.5,)), (schott_df, (True,)), (harmonic_dim, (3.0, 2)),
+     (harmonic_dim, (3, 2.0)), (harmonic_dim, (3, np.bool_(True)))],
+    ids=lambda v: getattr(v, "__name__", None) or "-".join(map(str, v)),
+)
+def test_counts_follow_one_integer_rule(func, args):
+    # the rule of BootstrapPlan and build_basis: numpy integers yes, bools no
+    with pytest.raises(UsageError, match="must be an integer"):
+        func(*args)
 
 
 def test_mpq_df(golden_20x2):
@@ -255,11 +270,6 @@ def test_mpq_epsilon_guard(golden_20x2):
     for epsilon in ("x", None):
         with pytest.raises(UsageError, match="epsilon"):
             mpq_test(golden_20x2, epsilon=epsilon)
-
-
-def test_ks_max_degree_must_be_an_integer(golden_20x2):
-    with pytest.raises(UsageError, match="must be an integer"):
-        ks_test(golden_20x2, R=5, workers=1, max_degree="4")
 
 
 def test_hp_guards(golden_20x2):
@@ -339,20 +349,47 @@ def test_non_real_matrix_is_a_domain_error(X):
             run()
 
 
+#: the six tests, pg and so also about a given location, as functions of the
+#: sample and that location
+MAGNITUDE_RUNS = {
+    "ks": lambda X, loc: ks_test(X, R=5, seed=0, workers=1),
+    "mpq": lambda X, loc: mpq_test(X),
+    "schott": lambda X, loc: schott_test(X),
+    "hp": lambda X, loc: huffer_park_test(X, 1, R=5, seed=0, workers=1),
+    "pg": lambda X, loc: pseudo_gaussian_test(X),
+    "so": lambda X, loc: skew_optimal_test(X),
+    "pg_location": lambda X, loc: pseudo_gaussian_test(X, location=loc),
+    "so_location": lambda X, loc: skew_optimal_test(X, location=loc),
+}
+MAGNITUDE_LOCATION = np.array([0.1, -0.2, 0.05])
+
+
 def test_overflowing_sample_raises_typed_error():
-    # squares of entries near 1e160 overflow the second-moment matrix
-    X = sample_mvn(np.zeros(3), np.eye(3), 60, seed=1) * 1e160
-    runs = {
-        "ks": lambda: ks_test(X, R=5, seed=0, workers=1),
-        "mpq": lambda: mpq_test(X),
-        "schott": lambda: schott_test(X),
-        "hp": lambda: huffer_park_test(X, 1, R=5, seed=0, workers=1),
-        "pg": lambda: pseudo_gaussian_test(X),
-        "so": lambda: skew_optimal_test(X),
-    }
-    for method, run in runs.items():
-        with pytest.raises(EllipsymError, match="overflows"):
-            run()
+    # squares of entries near 1e160 overflow the second-moment matrix: the
+    # tests rescale the data first, the standalone estimators refuse it
+    X = sample_mvn(np.zeros(3), np.eye(3), 60, seed=1)
+    for method, run in MAGNITUDE_RUNS.items():
+        big = run(X * 1e160, MAGNITUDE_LOCATION * 1e160).statistic
+        assert math.isclose(big, run(X, MAGNITUDE_LOCATION).statistic, rel_tol=1e-12), method
+    with pytest.raises(DomainError, match="overflows"):
+        tyler_scatter(X * 1e160, np.zeros(3))
+    with pytest.raises(DomainError, match="overflows"):
+        sample_cov(X * 1e160)
+
+
+@pytest.mark.parametrize("method", list(MAGNITUDE_RUNS))
+def test_results_do_not_depend_on_magnitude(method):
+    # second moments of data near 2^+-600 or 1e+-160 overflow or fall into
+    # subnormals unless the data are rescaled first
+    run = MAGNITUDE_RUNS[method]
+    X = sample_mvn(np.zeros(3), np.eye(3), 60, seed=1)
+    base = run(X, MAGNITUDE_LOCATION)
+    for scale in (2.0**600, 2.0**-600):
+        r = run(X * scale, MAGNITUDE_LOCATION * scale)
+        assert (r.statistic, r.p_value) == (base.statistic, base.p_value)
+    for scale in (1e160, 1e-160):
+        r = run(X * scale, MAGNITUDE_LOCATION * scale)
+        assert math.isclose(r.statistic, base.statistic, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +445,7 @@ def test_ks_reference_is_block_independent():
     # worker count, with a partial last block and a singular replicate
     n, d, R, seed = 40, 3, 300, 17
     X = sample_mvn(np.zeros(d), np.eye(d), n, seed=5)
-    basis = build_basis(d, 4)
+    basis = build_basis(d)
     block = BLOCK_CELLS // (n * d)
     assert R > block and R % block != 0
     base = _null_resampler(X)
@@ -447,7 +484,7 @@ def test_streaming_ks_matches_the_per_sample_tables(d):
     # Radii tie in the last two samples, so the sort falls back to the stable
     # order there: the second repeats rows, the third holds pairs x, -x about
     # an exact zero mean (dyadic values sum exactly), whose directions differ
-    basis = build_basis(d, 4)
+    basis = build_basis(d)
     rng = np.random.default_rng(60 + d)
     for n in (50, 2047, 2048, 2049, 5000):
         S = np.round(rng.standard_normal((3, n, d)) * 64) / 64
@@ -468,7 +505,7 @@ def test_streaming_mpq_matches_the_table_sum(d):
     # the statistic from the row sums of the full ``evaluate`` table: equal
     # bit for bit within one chunk, and within rounding of the in-order
     # addition of chunk sums past it (epsilon = 0 keeps all n points)
-    basis = build_basis(d, 4)
+    basis = build_basis(d)
     degree3 = basis.degree_slice(3).start
     rng = np.random.default_rng(70 + d)
     for n in (50, 2047, 2048, 2049, 5000):
@@ -516,7 +553,7 @@ def test_ks_reduction_builds_no_table():
 
     n, d = 20_000, 4
     X = np.random.default_rng(3).standard_normal((n, d))
-    basis = build_basis(d, 4)
+    basis = build_basis(d)
     tracemalloc.start()
     try:
         _ks_statistic(X, basis)
@@ -532,7 +569,7 @@ def test_rotation_invariance_spot_check(golden_20x2):
     Q = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     XQ = X @ Q.T
     assert relclose(
-        _ks_statistic(XQ, build_basis(2, 4)), _ks_statistic(X, build_basis(2, 4)), 1e-10
+        _ks_statistic(XQ, build_basis(2)), _ks_statistic(X, build_basis(2)), 1e-10
     )
     assert relclose(mpq_test(XQ).statistic, mpq_test(X).statistic, 1e-10)
     assert relclose(schott_test(XQ).statistic, schott_test(X).statistic, 1e-10)
