@@ -102,7 +102,7 @@ def _prepare(X, location=None):
     their largest |entry| into [0.5, 1) if it lies outside [2^-256, 2^256]:
     exact, and every test is invariant to it, so no result depends on magnitude."""
     X = validate_sample(X)
-    peak = np.abs(X).max()
+    peak = max(X.max(), -X.min())
     if location is not None:
         location = np.asarray(location, dtype=float)
         peak = max(peak, np.abs(location).max(initial=0.0))
