@@ -16,8 +16,11 @@ the imports), unless an OpenBLAS thread variable is already set.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 import operator
@@ -72,21 +75,38 @@ ALTERNATIVE_LINE = (
 # ---------------------------------------------------------------------------
 
 
+class _Lines:
+    """A CSV file's lines from line ``skip`` on, ends kept, decoded afresh
+    from its bytes on each pass; ``len`` counts them without decoding."""
+
+    def __init__(self, data: bytes, skip: int = 0):
+        self.data, self.skip = data, skip
+
+    def __iter__(self):
+        text = io.TextIOWrapper(io.BytesIO(self.data), encoding="utf-8-sig", newline="")
+        return itertools.islice(text, self.skip, None)
+
+    def __len__(self) -> int:
+        # lines end at \n, \r\n or a lone \r, and the last one may have no end
+        data = self.data
+        ends = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+        return ends + (data[-1:] not in (b"\n", b"\r")) - self.skip
+
+
 def read_table(path: str, has_header: bool = True):
     """Column names (or None) and the data lines of a CSV file.
 
-    The text is read once, without a UTF-8 byte-order mark.  Lines keep their
-    ends and blank lines (one can lie in a quoted cell): ``csv.reader(lines)``
-    reads the file's rows.
+    The file's bytes are read once and checked as UTF-8.  The lines are a
+    re-iterable :class:`_Lines`, ends and blank lines kept (one can lie in a
+    quoted cell): ``csv.reader(lines)`` reads the file's rows.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot open {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    reader = csv.reader(lines)
+    _check_utf8(path, data)
+    reader = csv.reader(_Lines(data))
     try:
         first = next(filter(None, reader), None)
     except csv.Error as exc:
@@ -94,24 +114,24 @@ def read_table(path: str, has_header: bool = True):
     if first is None:
         raise DataError(f"{path} contains no data")
     if not has_header:
-        return None, lines
-    lines = lines[reader.line_num :]
+        return None, _Lines(data)
+    lines = _Lines(data, reader.line_num)
     if not any(line.strip("\r\n") for line in lines):
         raise DataError(f"{path} has a header row but no data rows")
     return [cell.strip() for cell in first], lines
 
 
-def _not_utf8(path: str) -> ParseError:
-    """ParseError naming the first byte of ``path`` that is not UTF-8 (a text
-    reader's decoding error counts its offset from the reader's buffer)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _check_utf8(path: str, data: bytes) -> None:
+    """Raise a ParseError naming the first byte of ``data`` that is not UTF-8.
+    A megabyte is decoded at a time; a step may stop short of a split character."""
+    at = 0
     try:
-        data.decode("utf-8")
+        while at < len(data):
+            step = memoryview(data)[at : at + 2**20]
+            at += codecs.utf_8_decode(step, None, at + 2**20 >= len(data))[1]
     except UnicodeDecodeError as exc:
-        at = exc.start
-        return ParseError(f"{path} is not UTF-8: byte {data[at]:#04x} at offset {at}")
-    return ParseError(f"{path} is not UTF-8")
+        at += exc.start
+        raise ParseError(f"{path} is not UTF-8: byte {data[at]:#04x} at offset {at}") from None
 
 
 def _rows(lines):

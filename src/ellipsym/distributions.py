@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .exceptions import NumericError, UsageError
-from .linalg import sym_sqrt
+from .linalg import row_norms, sym_sqrt
 
 #: relative stopping tolerance of the incomplete-gamma series and fraction
 _GAMMA_EPS = 2.0**-53
@@ -257,11 +257,11 @@ def sample_uniform_sphere(d: int, n: int, seed) -> NDArray[np.float64]:
         raise UsageError("sample_uniform_sphere requires d >= 1 and n >= 1")
     rng = _rng(seed)
     Z = rng.standard_normal((n, d))
-    norms = np.linalg.norm(Z, axis=1)
+    norms = row_norms(Z)
     while np.any(norms < 1e-12):  # essentially impossible, but stay exact
         bad = norms < 1e-12
         Z[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(Z, axis=1)
+        norms = row_norms(Z)
     return Z / norms[:, None]
 
 

@@ -27,14 +27,19 @@ TYLER_TOL = 1e-12
 TYLER_MAX_ITER = 500
 
 
+def _real(A, error, message) -> NDArray[np.float64]:
+    """``A`` as a float array, else ``error`` with ``message`` and the reason."""
+    try:
+        if np.iscomplexobj(A):
+            raise TypeError("complex values")
+        return np.asarray(A, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{message}: {exc}") from None
+
+
 def validate_sample(X) -> NDArray[np.float64]:
     """Coerce X to a float n x d array and enforce n > d >= 2."""
-    try:
-        if np.iscomplexobj(X):
-            raise TypeError("complex values")
-        A = np.asarray(X, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"sample is not a real numeric matrix: {exc}") from None
+    A = _real(X, DomainError, "sample is not a real numeric matrix")
     if A.ndim != 2:
         raise DomainError(f"sample must be a 2-D array, got ndim={A.ndim}")
     n, d = A.shape
@@ -124,7 +129,7 @@ def tyler_scatter(X, location) -> NDArray[np.float64]:
     """
     A = validate_sample(X)
     n, d = A.shape
-    theta = np.asarray(location, dtype=float)
+    theta = _real(location, UsageError, "location is not a real numeric vector")
     if theta.shape != (d,):
         raise UsageError(
             f"location must be a vector of length {d}, got shape {theta.shape}"
@@ -154,6 +159,7 @@ def tyler_scatter(X, location) -> NDArray[np.float64]:
             ) from exc
         Z = W @ iroot
         q = np.einsum("ij,ij->i", Z, Z)  # w_i' V^{-1} w_i
+        del Z
         if np.any(q <= 0.0):
             raise DomainError("scatter iterate lost positive definiteness")
         M = (W / q[:, None]).T @ W * (d / n)

@@ -205,19 +205,19 @@ class HarmonicBasis:
 
     def _chunks(self, U):
         """Yield (sample, chunk start, table) over a (k, n, d) stack of unit
-        vectors, the (m, w) table holding the basis at the chunk's w points.
-        The monomial buffer and the table are reused: each table is valid
-        until the next one is drawn."""
+        vectors, the (m, w) table holding the basis at the chunk's w points,
+        whose coordinates alone are transposed.  The monomial buffer and the
+        table are reused: each table is valid until the next one is drawn."""
         n = U.shape[1]
         mono = np.empty((self.exponents.shape[0], min(n, _CHUNK)))
         out = np.empty((self.size, min(n, _CHUNK)))
-        for i, P in enumerate(np.ascontiguousarray(np.swapaxes(U, 1, 2))):
+        for i in range(len(U)):
             for lo in range(0, n, _CHUNK):
                 w = min(_CHUNK, n - lo)
-                M, table = mono[:, :w], out[:, :w]
+                P, M, table = U[i, lo : lo + w].T.copy(), mono[:, :w], out[:, :w]
                 M[0] = 1.0
                 for dst, src, length, j in self._steps:
-                    np.multiply(M[src : src + length], P[j, lo : lo + w], out=M[dst : dst + length])
+                    np.multiply(M[src : src + length], P[j], out=M[dst : dst + length])
                 for members, block, funcs in self._classes:
                     table[funcs] = block @ M[members]
                 yield i, lo, table

@@ -38,12 +38,13 @@ from .distributions import NullLaw, RadialDensity, pvalue, sample_uniform_sphere
 from .estimators import (
     ZERO_NORM_TOL,
     _centered_cov,
+    _real,
     tyler_scatter,
     validate_sample,
 )
 from .exceptions import DomainError, NumericError, UsageError, _integer
 from .harmonics import MAX_DEGREE, build_basis, harmonic_dim
-from .linalg import gram_schmidt_root, sym_inv_sqrt, sym_sqrt
+from .linalg import gram_schmidt_root, row_norms, sym_inv_sqrt, sym_sqrt
 from .resample import ALL_BUT_ONE, BootstrapPlan, run_replicates
 
 #: display names, keyed by the short method identifiers used everywhere else
@@ -64,6 +65,9 @@ HP_CALIBRATION_SIMS = 2000
 
 #: largest sector/shell grid the Huffer-Park counts table may occupy
 _HP_MAX_CELLS = 5_000_000
+
+#: rows per block of Schott's fourth-moment sum
+_SCHOTT_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ def _prepare(X, location=None):
     X = validate_sample(X)
     peak = max(X.max(), -X.min())
     if location is not None:
-        location = np.asarray(location, dtype=float)
+        location = _real(location, UsageError, "location is not a real numeric vector")
         peak = max(peak, np.abs(location).max(initial=0.0))
     if not 2.0**-256 <= peak <= 2.0**256:
         shift = -math.frexp(peak)[1]
@@ -114,15 +118,17 @@ def _prepare(X, location=None):
 
 
 def _directions(Y):
-    """(norms, U) for whitened residuals Y of shape (..., n, d)."""
-    norms = np.linalg.norm(Y, axis=-1)
+    """(norms, U) for whitened residuals Y of shape (..., n, d); U is Y divided
+    in place."""
+    norms = row_norms(Y)
     if np.any(norms < ZERO_NORM_TOL):
         i = int(np.argmin(norms)) % norms.shape[-1]
         raise DomainError(
             f"observation {i} coincides with the location estimate; "
             "directions are undefined"
         )
-    return norms, Y / norms[..., None]
+    Y /= norms[..., None]
+    return norms, Y
 
 
 def _null_resampler(X):
@@ -226,14 +232,16 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
 
     W, S = _centered_cov(X, n - 1)
     norms, U = _directions(W @ sym_inv_sqrt(S))
+    del W  # only U and its kept rows are held from here on
     if epsilon == 0.0:
         rho = 0.0
     else:
         k = math.ceil(epsilon * n)
         rho = float(np.partition(norms, k - 1)[k - 1])
 
+    U = U[norms > rho]
     basis = build_basis(d)
-    means = basis.sums(U[norms > rho])[basis.degree_slice(3).start :] / n
+    means = basis.sums(U)[basis.degree_slice(3).start :] / n
     stat = float(n * means @ means)
 
     df = harmonic_dim(d, 3) + harmonic_dim(d, 4)
@@ -255,22 +263,29 @@ def schott_df(d: int) -> int:
     return d * d + d * (d - 1) * (d * d + 7 * d - 6) // 24 - 1
 
 
+def _fourth_moments(Y) -> NDArray[np.float64]:
+    """Z'Z, the rows of Z being vec(y y') for the rows y of Y, summed a block
+    of ``_SCHOTT_ROWS`` rows at a time: one block is the one product Z'Z."""
+    blocks = (Y[lo : lo + _SCHOTT_ROWS] for lo in range(0, len(Y), _SCHOTT_ROWS))
+    Zs = (np.einsum("ni,nj->nij", B, B).reshape(len(B), -1) for B in blocks)
+    return sum(Z.T @ Z for Z in Zs)
+
+
 def schott_test(X) -> TestResult:
     """Schott's Wald-type test on the standardized fourth-moment matrix.
 
     Compares tr(M4*^2) and vec(I)' M4*^2 vec(I) of the standardized
     fourth-moment matrix M4* against the value an elliptical law with the
-    sample's own radial moments would produce.  Null law chi-squared.
+    sample's own radial moments would produce, with no (n, d^2) table of
+    vec(y y') rows built.  Null law chi-squared.
     """
     X, _ = _prepare(X)
     n, d = X.shape
     W, S = _centered_cov(X, n - 1)
     Y = W @ sym_inv_sqrt(S)
+    del W
     r = np.einsum("ij,ij->i", Y, Y)  # squared Mahalanobis norms
-
-    # rows of Z are vec(y y'), so M4* = Z'Z / n
-    Z = np.einsum("ni,nj->nij", Y, Y).reshape(n, d * d)
-    M4s = Z.T @ Z / n
+    M4s = _fourth_moments(Y) / n
 
     kap1 = float(np.sum(r**2)) / (n * d * (d + 2))  # 1 + kappa-hat
     eta1 = float(np.sum(r**3)) / (n * d * (d + 2) * (d + 4))
@@ -347,7 +362,7 @@ def _hp_tables(S, c: int, sector: str, g: int) -> NDArray[np.int64]:
     k, n, d = S.shape
     W, cov = _centered_cov(S, n)
     Y = W @ np.swapaxes(gram_schmidt_root(cov), -1, -2)
-    cells = _hp_sectors(Y, sector, g) * c + _hp_shells(np.linalg.norm(Y, axis=-1), c)
+    cells = _hp_sectors(Y, sector, g) * c + _hp_shells(row_norms(Y), c)
     cells += np.arange(k)[:, None] * (g * c)
     return np.bincount(cells.ravel(), minlength=k * g * c).reshape(k, g, c)
 
@@ -445,10 +460,6 @@ def huffer_park_test(
 # ---------------------------------------------------------------------------
 
 
-def _signed_squares(U):
-    return np.sign(U) * U * U
-
-
 def _cd_constant(d: int) -> float:
     return (
         4.0
@@ -484,9 +495,13 @@ def pseudo_gaussian_test(X, location=None) -> TestResult:
     n, d = X.shape
     norms, U = _tyler_directions(X, location)
 
+    # sign(u) u^2 as |u| u, the same product bit for bit
+    squares = np.abs(U)
+    squares *= U
     if location is not None:
         m4 = float(np.mean(norms**4))
-        v = (norms[:, None] ** 2 * _signed_squares(U)).sum(axis=0)
+        squares *= norms[:, None] ** 2
+        v = squares.sum(axis=0)
         stat = d * (d + 2) / (3.0 * n * m4) * float(v @ v)
         law = NullLaw.chi2(d)
         params = {"n": n, "d": d, "location": "specified"}
@@ -498,9 +513,12 @@ def pseudo_gaussian_test(X, location=None) -> TestResult:
     m4 = float(np.mean(norms**4))
     cd = _cd_constant(d)
 
-    delta = (
-        norms[:, None] * (cd * (d + 1) * m1 * U - norms[:, None] * _signed_squares(U))
-    ).sum(axis=0) / math.sqrt(n)
+    # norms * (cd (d + 1) m1 U - norms * squares), formed in place on U
+    squares *= norms[:, None]
+    U *= cd * (d + 1) * m1
+    U -= squares
+    U *= norms[:, None]
+    delta = U.sum(axis=0) / math.sqrt(n)
     gamma = (
         3.0 / (d * (d + 2)) * m4
         - 2.0 * cd**2 * (d + 1) * m1 * m3
@@ -559,7 +577,8 @@ def skew_optimal_test(
     wsq = float(w @ w)
     if wsq <= 0.0:
         raise NumericError("all score weights vanished")
-    num = (w[:, None] * U).sum(axis=0)
+    U *= w[:, None]
+    num = U.sum(axis=0)
     stat = float(d * (num @ num) / wsq)
     law = NullLaw.chi2(d)
     params = {

@@ -94,3 +94,14 @@ def gram_schmidt_root(S) -> NDArray[np.float64]:
     L = np.linalg.cholesky(_spd(S))
     # invert the triangular factor by forward substitution against I
     return np.linalg.solve(L, np.eye(L.shape[-1]))
+
+
+def row_norms(Y) -> NDArray[np.float64]:
+    """``np.linalg.norm(Y, axis=-1)`` bit for bit, with no array of squares:
+    numpy adds up to seven squares in order, as here, and more pairwise."""
+    if Y.shape[-1] >= 8:
+        return np.linalg.norm(Y, axis=-1)
+    total = Y[..., 0] * Y[..., 0]
+    for j in range(1, Y.shape[-1]):
+        total += Y[..., j] * Y[..., j]
+    return np.sqrt(total, out=total)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +56,25 @@ def test_simulate_then_ingest_roundtrip(tmp_path):
 def test_read_table_header_modes(tmp_path):
     p = write_csv(tmp_path / "t.csv", [["1", "2"], ["3", "4"]], header=["a", "b"])
     names, rows = read_table(p)
-    assert names == ["a", "b"] and len(rows) == 2
+    assert names == ["a", "b"] and len(list(rows)) == 2
     names, lines = read_table(p, has_header=False)
-    assert names is None and lines[0] == "a,b\n"
+    assert names is None and list(lines)[0] == "a,b\n"
+
+
+def test_ingest_holds_the_file_and_two_copies_of_the_sample(tmp_path):
+    # the file's bytes, the parsed table and its selected columns: no list of
+    # lines and no decoded copy of the whole file
+    path = str(tmp_path / "big.csv")
+    assert main(["simulate", "--dist", "skewnormal", "--n", "50000", "--d", "5",
+                 "--seed", "9", "--out", path]) == 0
+    tracemalloc.start()
+    try:
+        X = ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = (peak - os.path.getsize(path)) / X.nbytes
+    assert extra < 2.75, f"file + {extra:.2f} copies"
 
 
 def test_column_selection_by_name_and_index(tmp_path):

@@ -9,6 +9,7 @@ must reproduce them independently.  Regenerate with:
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,9 @@ from ellipsym import (
 from ellipsym.hypothesis import (
     HP_CALIBRATION_SIMS,
     METHOD_LABELS,
+    _SCHOTT_ROWS,
     _directions,
+    _fourth_moments,
     _hp_pearson,
     _hp_shells,
     _hp_tables,
@@ -319,6 +322,21 @@ def test_location_guards(golden_20x2):
         skew_optimal_test(golden_20x2, f="logistic", param=2.0)
 
 
+@pytest.mark.parametrize(
+    "test, location",
+    [
+        (pseudo_gaussian_test, "a"),
+        (skew_optimal_test, [1, "x"]),
+        (pseudo_gaussian_test, [1j, 0]),
+        (skew_optimal_test, np.array([0.5j, 0.0])),
+    ],
+    ids=["string", "mixed", "complex_list", "complex_array"],
+)
+def test_non_numeric_location_is_a_usage_error(golden_40x2, test, location):
+    with pytest.raises(UsageError, match="location is not a real numeric vector"):
+        test(golden_40x2, location=location)
+
+
 def test_degenerate_sample_rejected():
     row = np.array([1.0, 2.0])
     X = np.tile(row, (10, 1)) + 1e-16
@@ -561,6 +579,49 @@ def test_ks_reduction_builds_no_table():
     finally:
         tracemalloc.stop()
     assert peak < basis.size * n * 8
+
+
+@pytest.mark.parametrize("n", [50, _SCHOTT_ROWS - 1, _SCHOTT_ROWS, _SCHOTT_ROWS + 1,
+                               3 * _SCHOTT_ROWS + 100])
+def test_blocked_schott_matches_one_product(monkeypatch, n):
+    # Z'Z summed over blocks of rows is the one product Z'Z bit for bit up
+    # to one block, and within rounding past it; so is the statistic
+    X = sample_skewed(3, n, 3.0, seed=n)
+    Y = X - X.mean(axis=0)
+    Z = np.einsum("ni,nj->nij", Y, Y).reshape(n, 9)
+    blocked, one = _fourth_moments(Y), Z.T @ Z
+    stat = schott_test(X).statistic
+    monkeypatch.setattr("ellipsym.hypothesis._SCHOTT_ROWS", n)  # one block
+    one_stat = schott_test(X).statistic
+    if n <= _SCHOTT_ROWS:
+        assert np.array_equal(blocked, one) and stat == one_stat
+    else:
+        assert np.abs(blocked - one).max() <= 1e-12 * np.abs(one).max()
+        assert math.isclose(stat, one_stat, rel_tol=1e-12)
+
+
+#: bound on each test's new allocations at n = 50,000, d = 5, in copies of
+#: the sample: no (n, d^2) table and no dead (n, d) temporaries
+WORKING_SET = {
+    "schott": (schott_test, 3.0),
+    "mpq": (mpq_test, 4.0),
+    "pg": (pseudo_gaussian_test, 3.5),
+    "so": (skew_optimal_test, 3.0),
+}
+
+
+@pytest.mark.parametrize("method", list(WORKING_SET))
+def test_working_set_is_a_few_copies_of_the_sample(method):
+    test, copies = WORKING_SET[method]
+    X = sample_skewed(5, 50_000, 3.0, seed=9)
+    test(X[:100])  # builds the cached basis outside the trace
+    tracemalloc.start()
+    try:
+        test(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < copies * X.nbytes, f"{peak / X.nbytes:.2f} copies"
 
 
 def test_rotation_invariance_spot_check(golden_20x2):

@@ -3,7 +3,7 @@ import pytest
 
 import naive
 from ellipsym import DomainError, UsageError
-from ellipsym.linalg import gram_schmidt_root, sym_inv_sqrt, sym_sqrt
+from ellipsym.linalg import gram_schmidt_root, row_norms, sym_inv_sqrt, sym_sqrt
 
 
 def random_spd(rng, d, cond=10.0):
@@ -78,3 +78,15 @@ def test_roots_accept_stacks(rng):
     for root in (sym_sqrt, sym_inv_sqrt, gram_schmidt_root):
         with pytest.raises(DomainError, match="not positive definite"):
             root(bad)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_row_norms_match_numpy_bit_for_bit(rng, monkeypatch, d):
+    # columns summed in order up to d = 7, numpy's own pairwise sum from 8 on
+    norm, calls = np.linalg.norm, []
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    for shape in ((1000, d), (3, 400, d)):
+        Y = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        for A in (Y, np.asfortranarray(Y)):
+            assert np.array_equal(row_norms(A), norm(A, axis=-1))
+    assert bool(calls) == (d >= 8)
