@@ -23,7 +23,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from typing import Optional
@@ -174,36 +173,32 @@ def _resolve_columns(columns, names, lines) -> list:
 
 
 def _numeric_matrix(names, lines, selection) -> np.ndarray:
-    """Parse the selected cells into a float matrix with located errors.
+    """Parse the selected cells into an F-ordered float matrix with located errors.
 
-    ``np.loadtxt`` splits rows and quoted cells as ``csv`` does, in C; its
-    matrix is kept when the table is rectangular and the selected values are
-    finite.  Anything else takes the ``csv`` path, the one definition of the
-    accepted syntax and the messages: a bulk ``float`` conversion of the
-    selected cells, else the per-cell loop of :func:`_located_matrix`.
+    One ``np.loadtxt`` splits rows and quoted cells as ``csv`` does, in C, and
+    checks every row's width: each selected column is an ``f8`` field and
+    every other one a ``U1`` field, which takes any text.  Its values are kept
+    when they are all finite.  Anything else takes :func:`_located_matrix`,
+    the one definition of the accepted syntax and of the messages.
     """
+    chosen = set(selection)
+    width = len(next(_rows(lines)))
+    fields = [(f"f{j}", "f8" if j in chosen else "U1") for j in range(width)]
     with contextlib.suppress(ValueError):
-        X = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
-        X = X[:, selection]
+        table = np.loadtxt(lines, dtype=fields, delimiter=",", quotechar='"',
+                           comments=None, ndmin=1)
+        X = np.empty((len(table), len(selection)), order="F")
+        for k, j in enumerate(selection):
+            X[:, k] = table[f"f{j}"]
         if np.isfinite(X).all():
             return X
-    rows = list(_rows(lines))
-    width = len(rows[0])
-    if all(len(row) == width for row in rows):
-        try:
-            X = np.array(list(map(operator.itemgetter(*selection), rows)), dtype=float)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(X).all():
-                return X.reshape(len(rows), len(selection))
-    return _located_matrix(names, rows, selection)
+    return _located_matrix(names, list(_rows(lines)), selection)
 
 
 def _located_matrix(names, rows, selection) -> np.ndarray:
     """Parse cell by cell, raising on the first fault with its row and column."""
     width = len(rows[0])
-    X = np.empty((len(rows), len(selection)))
+    X = np.empty((len(rows), len(selection)), order="F")
     for i, row in enumerate(rows, start=1):
         if len(row) != width:
             raise ParseError(f"row {i} has {len(row)} fields, expected {width}")

@@ -377,7 +377,8 @@ def _hp_pearson(tables) -> NDArray[np.float64]:
 def _hp_check(n, d, c, sector, g):
     if sector not in HP_SECTORS:
         raise UsageError(f"sector must be one of {HP_SECTORS}, got {sector!r}")
-    if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 1:
+    c = _integer("shell count c", c)
+    if c < 1:
         raise UsageError(f"shell count c must be a positive integer, got {c!r}")
     if c > n:
         raise UsageError(f"shell count c = {c} exceeds the sample size {n}")
@@ -392,7 +393,7 @@ def _hp_check(n, d, c, sector, g):
     else:
         if d != 2:
             raise UsageError("bivariate angle sectors require d = 2")
-        if isinstance(g, bool) or not isinstance(g, (int, np.integer)) or g < 1:
+        if g is None or _integer("sector count g", g) < 1:
             raise UsageError("bivariate angle sectors require a positive integer g")
         g = int(g)
     if g * c > _HP_MAX_CELLS:
@@ -400,7 +401,7 @@ def _hp_check(n, d, c, sector, g):
             f"counts table with {g} sectors x {c} shells is too large "
             f"(over {_HP_MAX_CELLS} cells)"
         )
-    return int(c), g, sector
+    return c, g, sector
 
 
 def huffer_park_test(

@@ -292,7 +292,7 @@ def test_hp_guards(golden_20x2):
     # bools are not counts, as in BootstrapPlan and build_basis
     with pytest.raises(UsageError, match="shell count"):
         huffer_park_test(golden_20x2, True, R=5, seed=0, workers=1)
-    with pytest.raises(UsageError, match="positive integer g"):
+    with pytest.raises(UsageError, match="sector count g must be an integer"):
         huffer_park_test(golden_20x2, 2, sector="bivariateangles", g=True, R=5)
 
 
