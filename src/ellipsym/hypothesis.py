@@ -43,7 +43,6 @@ from .estimators import (
     validate_sample,
 )
 from .exceptions import DomainError, NumericError, UsageError, _integer
-from .harmonics import MAX_DEGREE, build_basis, harmonic_dim
 from .linalg import gram_schmidt_root, row_norms, sym_inv_sqrt, sym_sqrt
 from .resample import ALL_BUT_ONE, BootstrapPlan, run_replicates
 
@@ -65,6 +64,9 @@ HP_CALIBRATION_SIMS = 2000
 
 #: largest sector/shell grid the Huffer-Park counts table may occupy
 _HP_MAX_CELLS = 5_000_000
+
+#: most shells ``_hp_shells`` counts by thresholds; one argsort is cheaper past it
+_HP_COUNTED_SHELLS = 12
 
 #: rows per block of Schott's fourth-moment sum
 _SCHOTT_ROWS = 2048
@@ -193,6 +195,7 @@ def ks_test(X, R: int = 1000, seed: int = 0, workers: int = ALL_BUT_ONE) -> Test
     cumulatively; the statistic is n^{-1/2} times the largest Euclidean
     norm reached by that cumulative sum.
     """
+    from .harmonics import MAX_DEGREE, build_basis  # imported here: only ks and mpq use it
     X, _ = _prepare(X)
     n, d = X.shape
     basis = build_basis(d)
@@ -225,6 +228,7 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
     Euclidean norm of the remaining harmonic averages, with null law
     (1 - epsilon) times chi-squared.
     """
+    from .harmonics import build_basis, harmonic_dim
     X, _ = _prepare(X)
     n, d = X.shape
     if not isinstance(epsilon, numbers.Real) or not 0.0 <= epsilon < 1.0:
@@ -328,11 +332,9 @@ def _lex_ranks(perms: NDArray[np.int64]) -> NDArray[np.int64]:
 def _hp_sectors(Y, sector: str, g: int) -> NDArray[np.int64]:
     d = Y.shape[-1]
     if sector == "orthants":
-        neg = Y < 0.0
-        return neg @ (1 << np.arange(d, dtype=np.int64))
+        return sum((Y[..., j] < 0.0) << j for j in range(d))
     if sector == "permutations":
-        order = np.argsort(Y, axis=-1, kind="stable")
-        return _lex_ranks(order)
+        return _lex_ranks(np.argsort(Y, axis=-1, kind="stable"))
     # bivariate angles (d == 2): g equal arcs starting at angle zero,
     # with an exact arc boundary assigned to the lower arc
     phi = np.mod(np.arctan2(Y[..., 1], Y[..., 0]), 2.0 * math.pi)
@@ -343,14 +345,24 @@ def _hp_sectors(Y, sector: str, g: int) -> NDArray[np.int64]:
 
 
 def _hp_shells(norms, c: int) -> NDArray[np.int64]:
-    """Equal-count shell index per observation (ties broken by row order).
-
-    When n is not a multiple of c the remainder is spread one extra
-    observation per shell starting from the innermost shell.
-    """
+    """Equal-count shell index of each radius in a (k, n) stack, ties broken
+    by row order, the remainder of n / c one per shell from the innermost:
+    the number of inner shells' last radii it exceeds, from one sort per row.
+    Rows where radii tie across a shell boundary, and all rows past
+    ``_HP_COUNTED_SHELLS`` shells, are ranked by ``_sorting_index`` instead."""
     base, rem = divmod(norms.shape[-1], c)
-    shells = np.empty(norms.shape, dtype=np.int64)
-    shells[_sorting_index(norms)] = np.repeat(np.arange(c), base + (np.arange(c) < rem))
+    labels = np.repeat(np.arange(c), base + (np.arange(c) < rem))
+    shells = np.zeros(norms.shape, dtype=np.int64)
+    redo = np.full(len(norms), True)
+    if c <= _HP_COUNTED_SHELLS:
+        ranked = np.sort(norms, axis=-1)
+        first = np.flatnonzero(np.diff(labels)) + 1  # where shells 1 .. c-1 start
+        for last in ranked[:, first - 1].T:
+            shells += norms > last[:, None]
+        redo = (ranked[:, first - 1] == ranked[:, first]).any(axis=-1)
+    if redo.any():
+        rows, order = _sorting_index(norms[redo])
+        shells[np.flatnonzero(redo)[rows], order] = labels
     return shells
 
 
@@ -358,11 +370,18 @@ def _hp_tables(S, c: int, sector: str, g: int) -> NDArray[np.int64]:
     """The Huffer-Park (sector, shell) counts of each sample in a (k, n, d)
     stack, shape (k, g, c): residuals whitened by the lower-triangular
     Gram-Schmidt root of the 1/n covariance, sectors by direction, and
-    equal-count shells by radius rank."""
+    equal-count shells by radius rank.  Each step reads one (k, d, n) copy
+    of the stack through its (k, n, d) view; whitening is elementwise, so
+    equal rows get bit-equal radii, which ``_hp_shells`` orders by row."""
     k, n, d = S.shape
-    W, cov = _centered_cov(S, n)
-    Y = W @ np.swapaxes(gram_schmidt_root(cov), -1, -2)
-    cells = _hp_sectors(Y, sector, g) * c + _hp_shells(row_norms(Y), c)
+    columns = np.ascontiguousarray(np.swapaxes(S, -1, -2))
+    W, cov = _centered_cov(np.swapaxes(columns, -1, -2), n)
+    root = gram_schmidt_root(cov)
+    for i in reversed(range(d)):  # row i of the root reads coordinates 0..i
+        W[..., i] *= root[:, i, i, None]
+        for j in range(i):
+            W[..., i] += W[..., j] * root[:, i, j, None]
+    cells = _hp_sectors(W, sector, g) * c + _hp_shells(row_norms(W), c)
     cells += np.arange(k)[:, None] * (g * c)
     return np.bincount(cells.ravel(), minlength=k * g * c).reshape(k, g, c)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -182,6 +181,7 @@ def run_replicates(
         for lo in starts:
             block(lo)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # imported only for a pool
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             # materialize to propagate the first worker exception
             list(pool.map(block, starts))

@@ -9,9 +9,10 @@ reference value, and the ``describe()`` params with their floats in hex.
 The cases cover the six tests at d = 2..5 on a Gaussian and a skewed
 sample: hp with Monte Carlo and bootstrap calibration over its three sector
 schemes, pg and so with and without a location, and so's three radial
-families; ks and mpq past one 2,048-point evaluation chunk; and ks and hp
-on a sample with repeated rows, whose radii tie.  A last record holds
-``chi2_sf`` over an (x, df) grid.
+families; ks and mpq past one 2,048-point evaluation chunk; ks and hp on a
+sample with repeated rows, whose radii tie; hp with one shell; and hp's
+Monte Carlo law on one ``ellipsym rolling`` window (120 x 2, c = 3).  A
+last record holds ``chi2_sf`` over an (x, df) grid.
 """
 
 import json
@@ -91,6 +92,9 @@ def _cases():
     T[60:] = T[:60]
     yield "ks ties d3", lambda: ks_test(T, R=20, seed=9, workers=1)
     yield "hp ties d3", lambda: huffer_park_test(T, 3, R=30, seed=10)
+    W = sample_mvn(np.zeros(2), np.eye(2), 120, seed=302)
+    yield "hp mc window 120x2 c3", lambda: huffer_park_test(W, 3, seed=0, workers=1)
+    yield "hp c1 d3", lambda: huffer_park_test(T, 1, R=30, seed=11)
 
 
 def main(path):

@@ -37,6 +37,7 @@ from ellipsym import (
 from ellipsym.hypothesis import (
     HP_CALIBRATION_SIMS,
     METHOD_LABELS,
+    _HP_COUNTED_SHELLS,
     _SCHOTT_ROWS,
     _directions,
     _fourth_moments,
@@ -131,6 +132,25 @@ def test_hp_counts_table_golden(golden_40x2):
     assert np.array_equal(
         naive.hp_counts_oracle(golden_40x2, 4), GOLDEN_40_HP_COUNTS_C4
     )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_hp_tables_match_the_oracle(d):
+    # each sample of one block against the oracle; the samples at the block's
+    # first, middle and last positions repeat a row at their first, middle and
+    # last rows, and the second sample repeats half its rows
+    n = 4 * d + 3
+    S = sample_skewed(d, 5 * n, 2.0, seed=40 + d).reshape(5, n, d)
+    for b, (dst, src) in zip((0, 2, 4), ((0, n // 2), (n // 2, n - 1), (n - 1, 0))):
+        S[b, dst] = S[b, src]
+    S[1, n // 2 :] = S[1, : n - n // 2]
+    schemes = [("orthants", 2**d), ("permutations", math.factorial(d))]
+    if d == 2:
+        schemes.append(("bivariateangles", 5))
+    for sector, g in schemes:
+        for c in range(1, min(n, 6) + 1):
+            for X, table in zip(S, _hp_tables(S, c, sector, g)):
+                assert np.array_equal(table, naive.hp_counts_oracle(X, c, sector, g))
 
 
 def test_pg_golden(golden_20x2):
@@ -557,7 +577,7 @@ def test_hp_shells_break_ties_in_row_order():
     norms[1, 150:] = norms[1, :151]  # duplicate rows
     norms[2] = np.round(norms[2], 1)  # many ties
     order = np.argsort(norms, axis=-1, kind="stable")
-    for c in (1, 4, 7):
+    for c in (1, 4, 7, _HP_COUNTED_SHELLS, _HP_COUNTED_SHELLS + 1, 300, 301):
         base, rem = divmod(norms.shape[1], c)
         labels = np.repeat(np.arange(c), base + (np.arange(c) < rem))
         expected = np.empty_like(order)
