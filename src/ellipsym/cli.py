@@ -6,7 +6,8 @@ Three subcommands:
 ``ellipsym rolling``   run one test on successive row windows, emit a CSV
 ``ellipsym simulate``  write a synthetic CSV sample for the other commands
 
-Exit codes: 0 success, 1 computation failure, 2 usage error.
+Exit codes: 0 success, 1 computation failure, 2 usage error.  Errors and
+each distinct library warning print as one ``ellipsym:`` line on stderr.
 
 Importing this module before numpy, in any program, loads numpy's OpenBLAS
 with one thread for the rest of that process (see the note at the top of
@@ -25,6 +26,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Optional
 
 # BLAS products here are d x d or skinny n x d, and --jobs is the only
@@ -219,6 +221,24 @@ def _located_matrix(names, rows, selection) -> np.ndarray:
     return X
 
 
+def _ingest(path: str, has_header: bool, columns, label: Optional[str] = None):
+    """(X, labels): the validated sample, and the stripped cells of the header
+    column ``label`` (None without one), which cannot be a tested column."""
+    names, lines = read_table(path, has_header)
+    index = None
+    if label is not None:
+        if names is None or label not in names:
+            raise UsageError(f"date column {label!r} not found in header")
+        index = names.index(label)
+        if columns is None:
+            columns = [c for c in names if c != label]
+    selection = _resolve_columns(columns, names, lines)
+    if index in selection:
+        raise UsageError(f"date column {label!r} cannot be tested")
+    X = validate_sample(_numeric_matrix(names, lines, selection))
+    return X, None if index is None else [row[index].strip() for row in _rows(lines)]
+
+
 def ingest_csv(path: str, has_header: bool = True, columns=None) -> np.ndarray:
     """Read an (n, d) sample from a CSV file.
 
@@ -227,9 +247,7 @@ def ingest_csv(path: str, has_header: bool = True, columns=None) -> np.ndarray:
     NA cell raises :class:`DataError`, both naming the row and column; a
     sample with too few rows or columns raises :class:`DomainError`.
     """
-    names, lines = read_table(path, has_header)
-    selection = _resolve_columns(columns, names, lines)
-    return validate_sample(_numeric_matrix(names, lines, selection))
+    return _ingest(path, has_header, columns)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +268,11 @@ def _parse_location(text: str) -> np.ndarray:
         ) from None
 
 
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is not None:
-        return jobs
-    env = os.environ.get("ELLIPSYM_JOBS")
-    if env is None:
-        return ALL_BUT_ONE
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"ELLIPSYM_JOBS must be an integer, got {env!r}") from None
-
-
 def _run_method(X: np.ndarray, args) -> TestResult:
-    jobs = _resolve_jobs(args.jobs)
     method = args.method
     if method == "ks":
         R = 1000 if args.R is None else args.R
-        return ks_test(X, R=R, seed=args.seed, workers=jobs)
+        return ks_test(X, R=R, seed=args.seed, workers=args.jobs)
     if method == "mpq":
         return mpq_test(X, epsilon=args.epsilon)
     if method == "schott":
@@ -282,7 +287,7 @@ def _run_method(X: np.ndarray, args) -> TestResult:
             g=args.g,
             R=args.R,
             seed=args.seed,
-            workers=jobs,
+            workers=args.jobs,
         )
     if method == "pg":
         return pseudo_gaussian_test(X, location=args.location)
@@ -316,7 +321,7 @@ def _output(path: Optional[str]):
 
 
 def cmd_test(args) -> int:
-    X = ingest_csv(args.input, has_header=not args.no_header, columns=args.columns)
+    X, _ = _ingest(args.input, not args.no_header, args.columns)
     result = _run_method(X, args)
     if args.format == "json":
         print(json.dumps(result.describe(), indent=2))
@@ -329,32 +334,14 @@ def cmd_test(args) -> int:
 def cmd_rolling(args) -> int:
     if args.step < 1:
         raise UsageError(f"--step must be at least 1, got {args.step}")
-    names, lines = read_table(args.input, has_header=not args.no_header)
-
-    columns = args.columns
-    date_index = None
-    if args.date_column is not None:
-        if names is None or args.date_column not in names:
-            raise UsageError(f"date column {args.date_column!r} not found in header")
-        date_index = names.index(args.date_column)
-        if columns is None:
-            columns = [c for c in names if c != args.date_column]
-
-    selection = _resolve_columns(columns, names, lines)
-    if date_index is not None and date_index in selection:
-        raise UsageError(f"date column {args.date_column!r} cannot be tested")
-    X = validate_sample(_numeric_matrix(names, lines, selection))
-
+    X, labels = _ingest(args.input, not args.no_header, args.columns, args.date_column)
     n, d = X.shape
     window, step = args.window, args.step
     if window > n:
         raise DomainError(f"window of {window} rows exceeds the {n} available")
     if window < d + 2:
         raise UsageError(f"window must be at least d + 2 = {d + 2} rows, got {window}")
-
-    labels = [""] * n
-    if date_index is not None:
-        labels = [row[date_index].strip() for row in _rows(lines)]
+    labels = labels or [""] * n
 
     with _output(args.out) as fh:  # an unwritable --out fails before any window
         out_rows = []
@@ -381,9 +368,8 @@ def cmd_simulate(args) -> int:
         X = sample_skewed(d, n, args.slant, args.seed)
 
     with _output(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j + 1}" for j in range(d)])
-        writer.writerows([f"{v:.17g}" for v in row] for row in X)
+        header = ",".join(f"x{j + 1}" for j in range(d))
+        np.savetxt(fh, X, fmt="%.17g", delimiter=",", header=header, comments="")
     return 0
 
 
@@ -451,11 +437,9 @@ def _add_test_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="worker threads for resampling; -1 = all but one core "
-        "(falls back to the ELLIPSYM_JOBS environment variable)",
+        default=ALL_BUT_ONE,
+        help=f"worker threads for resampling; {ALL_BUT_ONE} (default) = all but one core",
     )
-    parser.add_argument("--format", choices=["text", "json"], default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run one test on a CSV sample")
     _add_test_flags(p_test)
+    p_test.add_argument("--format", choices=["text", "json"], default="text")
 
     p_roll = sub.add_parser(
         "rolling", help="run one test on successive row windows of a CSV sample"
@@ -496,18 +481,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "test":
-            return cmd_test(args)
-        if args.command == "rolling":
-            return cmd_rolling(args)
-        return cmd_simulate(args)
-    except UsageError as exc:
-        print(f"ellipsym: error: {exc}", file=sys.stderr)
-        return 2
-    except EllipsymError as exc:
-        print(f"ellipsym: error: {exc}", file=sys.stderr)
-        return 1
+    command = {"test": cmd_test, "rolling": cmd_rolling}.get(args.command, cmd_simulate)
+    with warnings.catch_warnings(record=True) as caught:  # the user's filters apply
+        try:
+            code, error = command(args), None
+        except EllipsymError as exc:
+            code, error = 2 if isinstance(exc, UsageError) else 1, exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"ellipsym: warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"ellipsym: error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -106,8 +106,12 @@ def _jsonable(v):
 def _prepare(X, location=None):
     """(X, location) validated, and both scaled by the power of two that brings
     their largest |entry| into [0.5, 1) if it lies outside [2^-256, 2^256]:
-    exact, and every test is invariant to it, so no result depends on magnitude."""
+    exact, and every test is invariant to it, so no result depends on magnitude.
+    n = d + 1 rows are refused: their standardized radii all equal d^2/(d + 1)."""
     X = validate_sample(X)
+    n, d = X.shape
+    if n < d + 2:
+        raise DomainError(f"sample needs at least d + 2 = {d + 2} rows (n={n}, d={d})")
     peak = max(X.max(), -X.min())
     if location is not None:
         location = _real(location, UsageError, "location is not a real numeric vector")

@@ -495,14 +495,42 @@ def test_singular_tyler_iterate_exits_1(tmp_path, capsys):
     assert err.startswith("ellipsym: error:") and "singular" in err
 
 
-def test_jobs_env_fallback(monkeypatch, capsys):
+def test_jobs_flag_alone_sets_the_worker_count(monkeypatch, capsys):
+    # no environment variable stands in for --jobs, and the count changes no bit
     monkeypatch.setenv("ELLIPSYM_JOBS", "abc")
-    assert main(["test", "--method", "ks", "--input", GOLDEN_20,
-                 "--R", "5", "--seed", "1"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("ELLIPSYM_JOBS", "2")
-    assert main(["test", "--method", "ks", "--input", GOLDEN_20,
-                 "--R", "5", "--seed", "1"]) == 0
+    argv = ["test", "--method", "ks", "--input", GOLDEN_20, "--R", "5", "--seed", "1"]
+    outputs = []
+    for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
+        assert main([*argv, *jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert main([*argv, "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.startswith("ellipsym: error: workers must be")
+    # schott never resamples, so it never reads the count
+    assert main(["test", "--method", "schott", "--input", GOLDEN_20, "--jobs", "0"]) == 0
+
+
+def test_too_few_rows_for_the_tests_exits_1(tmp_path, capsys):
+    # n = d + 1 rows all have the same standardized radius
+    X = np.random.default_rng(3).standard_normal((3, 2))
+    p = write_csv(tmp_path / "three.csv", [[f"{v:.17g}" for v in row] for row in X],
+                  header=["a", "b"])
+    assert main(["test", "--method", "schott", "--input", p]) == 1
+    assert capsys.readouterr().err == (
+        "ellipsym: error: sample needs at least d + 2 = 4 rows (n=3, d=2)\n"
+    )
+
+
+def test_a_library_warning_is_one_line(capsys):
+    # 2^2 orthants x 3 shells = 12 cells for 20 rows; each window warns alike
+    message = ("ellipsym: warning: sector/shell grid has 12 cells for 20 observations "
+               "(expected count below 5 per cell); the statistic is unstable\n")
+    hp = ["--method", "hp", "--c", "3", "--R", "5", "--jobs", "1"]
+    assert main(["test", *hp, "--input", GOLDEN_20]) == 0
+    assert capsys.readouterr().err == message
+    assert main(["rolling", *hp, "--input", str(DATA / "golden_40x2.csv"),
+                 "--window", "20", "--step", "5"]) == 0
+    assert capsys.readouterr().err == message
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +586,14 @@ def test_rolling_date_column_not_testable(tmp_path, capsys):
                  "--window", "5", "--step", "5", "--date-column", "day",
                  "--columns", "day,x1"]) == 2
     assert "cannot be tested" in capsys.readouterr().err
+
+
+def test_rolling_has_no_format_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rolling", "--method", "schott", "--input", rolling_input(tmp_path),
+              "--window", "5", "--step", "5", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_rolling_window_bounds(tmp_path, capsys):

@@ -402,6 +402,17 @@ MAGNITUDE_RUNS = {
 MAGNITUDE_LOCATION = np.array([0.1, -0.2, 0.05])
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_d_plus_one_rows_are_a_domain_error(d):
+    # Y Y' = (n - 1)(I - 11'/n) at n = d + 1, so every standardized radius is
+    # d^2/(d + 1): schott divided by zero or went negative, the rest constant
+    X = sample_mvn(np.zeros(d), np.eye(d), d + 1, seed=d)
+    for method, run in MAGNITUDE_RUNS.items():
+        with pytest.raises(DomainError, match=rf"at least d \+ 2 = {d + 2} rows"):
+            run(X, np.zeros(d))
+    assert schott_test(sample_mvn(np.zeros(d), np.eye(d), d + 2, seed=d)).p_value >= 0
+
+
 def test_overflowing_sample_raises_typed_error():
     # squares of entries near 1e160 overflow the second-moment matrix: the
     # tests rescale the data first, the standalone estimators refuse it
