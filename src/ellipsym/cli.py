@@ -356,8 +356,6 @@ def cmd_rolling(args) -> int:
 
 def cmd_simulate(args) -> int:
     n, d = args.n, args.d
-    if n < 1:
-        raise UsageError(f"--n must be at least 1, got {n}")
     if d < 2:
         raise UsageError(f"--d must be at least 2, got {d}")
     if args.dist == "normal":

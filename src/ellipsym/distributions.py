@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import NumericError, UsageError
-from .linalg import row_norms, sym_sqrt
+from .exceptions import NumericError, UsageError, _integer, _number
+from .linalg import _real, row_norms, sym_sqrt
 
 #: relative stopping tolerance of the incomplete-gamma series and fraction
 _GAMMA_EPS = 2.0**-53
@@ -82,11 +82,12 @@ def chi2_sf(x: float, df: float) -> float:
     growing in proportion to df beyond (about 1e-9 at df = 1e6); the
     package's own dfs are at most 870 for d <= 10.
     """
-    if not df > 0:
-        raise UsageError(f"df must be positive, got {df}")
+    x, df = _number("x", x), _number("df", df)
+    if not 0 < df < math.inf:
+        raise UsageError(f"df must be positive and finite, got {df}")
     if not x >= 0:
         raise UsageError(f"chi2_sf requires x >= 0, got {x}")
-    return _gamma_q(float(df) / 2.0, float(x) / 2.0)
+    return _gamma_q(df / 2.0, x / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +119,12 @@ class RadialDensity:
                 f"unknown radial density {self.family!r}; expected one of {RADIAL_FAMILIES}"
             )
         if self.family == "t":
-            nu = 4.0 if self.param is None else float(self.param)
+            nu = 4.0 if self.param is None else _number("nu", self.param)
             if not 2.0 < nu < math.inf:
                 raise UsageError(f"t radial density requires a finite nu > 2, got {nu}")
             object.__setattr__(self, "param", nu)
         elif self.family == "powerExp":
-            beta = 0.5 if self.param is None else float(self.param)
+            beta = 0.5 if self.param is None else _number("beta", self.param)
             if not 0.0 < beta < math.inf:
                 raise UsageError(f"powerExp requires a finite beta > 0, got {beta}")
             if beta == 1.0:
@@ -182,9 +183,12 @@ class NullLaw:
     def __post_init__(self):
         if self.kind not in ("chi2", "scaled_chi2", "monte_carlo", "bootstrap"):
             raise UsageError(f"unknown null law kind {self.kind!r}")
+        for name in ("df", "scale"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _number(name, getattr(self, name)))
         if self.kind in ("chi2", "scaled_chi2"):
-            if self.df is None or not self.df > 0:
-                raise UsageError("chi-squared null law requires df > 0")
+            if self.df is None or not 0 < self.df < math.inf:
+                raise UsageError("chi-squared null law requires a finite df > 0")
         if self.kind == "scaled_chi2":
             if self.scale is None or not 0.0 < self.scale <= 1.0:
                 raise UsageError("scaled chi-squared law requires scale in (0, 1]")
@@ -194,11 +198,11 @@ class NullLaw:
 
     @staticmethod
     def chi2(df: float) -> "NullLaw":
-        return NullLaw(kind="chi2", df=float(df))
+        return NullLaw(kind="chi2", df=df)
 
     @staticmethod
     def scaled_chi2(scale: float, df: float) -> "NullLaw":
-        return NullLaw(kind="scaled_chi2", df=float(df), scale=float(scale))
+        return NullLaw(kind="scaled_chi2", df=df, scale=scale)
 
     @staticmethod
     def monte_carlo(reference) -> "NullLaw":
@@ -229,6 +233,7 @@ def pvalue(law: NullLaw, statistic: float) -> float:
     (1 + #{reference >= statistic}) / (1 + #reference), so the result is
     always strictly positive.
     """
+    statistic = _number("statistic", statistic)
     if not math.isfinite(statistic):
         raise UsageError(f"statistic must be finite, got {statistic}")
     if law.kind == "chi2":
@@ -248,13 +253,12 @@ def pvalue(law: NullLaw, statistic: float) -> float:
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_integer("seed", seed, 0))
 
 
 def sample_uniform_sphere(d: int, n: int, seed) -> NDArray[np.float64]:
     """n i.i.d. points uniform on S^{d-1} (normalized Gaussian vectors)."""
-    if d < 1 or n < 1:
-        raise UsageError("sample_uniform_sphere requires d >= 1 and n >= 1")
+    d, n = _integer("d", d, 1), _integer("n", n, 1)
     rng = _rng(seed)
     Z = rng.standard_normal((n, d))
     norms = row_norms(Z)
@@ -267,12 +271,11 @@ def sample_uniform_sphere(d: int, n: int, seed) -> NDArray[np.float64]:
 
 def sample_mvn(mean, cov, n: int, seed) -> NDArray[np.float64]:
     """n draws from N(mean, cov) via the symmetric square root of cov."""
-    mean = np.asarray(mean, dtype=float)
+    n = _integer("n", n, 1)
+    mean = _real(mean, UsageError, "mean is not a real numeric vector")
     root = sym_sqrt(cov)
     if mean.shape != (root.shape[0],):
         raise UsageError("mean and cov dimensions do not match")
-    if n < 1:
-        raise UsageError("sample_mvn requires n >= 1")
     rng = _rng(seed)
     Z = rng.standard_normal((n, root.shape[0]))
     return mean + Z @ root
@@ -285,14 +288,13 @@ def sample_mvt(mean, cov, nu: float, n: int, seed) -> NDArray[np.float64]:
     sqrt(nu / W) * Z @ cov^{1/2} with W ~ chi2(nu).  Draw order: the n x d
     normal block first, then the n chi-squared variables.
     """
+    nu, n = _number("nu", nu), _integer("n", n, 1)
     if not 0 < nu < math.inf:
         raise UsageError(f"sample_mvt requires a finite nu > 0, got {nu}")
-    mean = np.asarray(mean, dtype=float)
+    mean = _real(mean, UsageError, "mean is not a real numeric vector")
     root = sym_sqrt(cov)
     if mean.shape != (root.shape[0],):
         raise UsageError("mean and cov dimensions do not match")
-    if n < 1:
-        raise UsageError("sample_mvt requires n >= 1")
     rng = _rng(seed)
     Z = rng.standard_normal((n, root.shape[0]))
     w = rng.chisquare(nu, size=n)
@@ -306,10 +308,9 @@ def sample_skewed(d: int, n: int, slant: float, seed) -> NDArray[np.float64]:
     scalar; the draw is Z if W < slant * Z_1 and Z with the sign of its
     first coordinate flipped otherwise.  slant = 0 reduces to N(0, I_d).
     """
+    slant, d, n = _number("slant", slant), _integer("d", d, 2), _integer("n", n, 1)
     if not slant >= 0:
         raise UsageError(f"sample_skewed requires slant >= 0, got {slant}")
-    if d < 2 or n < 1:
-        raise UsageError("sample_skewed requires d >= 2 and n >= 1")
     rng = _rng(seed)
     Z = rng.standard_normal((n, d))
     W = rng.standard_normal(n)

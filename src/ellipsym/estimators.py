@@ -20,21 +20,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .exceptions import ConvergenceError, DomainError, NumericError, UsageError
-from .linalg import _spd, sym_inv_sqrt
+from .linalg import _real, _spd, sym_inv_sqrt
 
 ZERO_NORM_TOL = 1e-12
 TYLER_TOL = 1e-12
 TYLER_MAX_ITER = 500
-
-
-def _real(A, error, message) -> NDArray[np.float64]:
-    """``A`` as a float array, else ``error`` with ``message`` and the reason."""
-    try:
-        if np.iscomplexobj(A):
-            raise TypeError("complex values")
-        return np.asarray(A, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{message}: {exc}") from None
 
 
 def validate_sample(X) -> NDArray[np.float64]:

@@ -39,8 +39,22 @@ class ConvergenceError(NumericError):
     """An iterative procedure failed to converge within its iteration cap."""
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; numpy integers count as integers, bools do not."""
+def _integer(name: str, value, low=None) -> int:
+    """``value`` as an int of at least ``low``; numpy integers count as
+    integers, bools do not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise UsageError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise UsageError(f"{name} must be at least {low}, got {value}")
     return int(value)
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a float; numpy reals count as real numbers, bools,
+    strings, complex values and Decimals do not.  The caller checks the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise UsageError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        raise UsageError(f"{name} lies beyond the double range") from None

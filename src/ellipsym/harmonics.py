@@ -37,8 +37,8 @@ fold each chunk into a running sum and so never hold more than one chunk.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -48,6 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .exceptions import UsageError, _integer
+from .linalg import _real
 
 MAX_DEGREE = 4
 
@@ -62,11 +63,7 @@ def harmonic_dim(d: int, k: int) -> int:
 
     C(d+k-1, k) - C(d+k-3, k-2) for k >= 2; 1 for k = 0; d for k = 1.
     """
-    d, k = _integer("d", d), _integer("k", k)
-    if d < 2:
-        raise UsageError(f"harmonic_dim requires d >= 2, got {d}")
-    if k < 0:
-        raise UsageError(f"harmonic_dim requires k >= 0, got {k}")
+    d, k = _integer("d", d, 2), _integer("k", k, 0)
     if k == 0:
         return 1
     if k == 1:
@@ -163,7 +160,7 @@ class HarmonicBasis:
         (n, m) array of evaluations, in basis order: the transpose of a
         C-contiguous (m, n) array, so each function's values are contiguous.
         """
-        A = np.asarray(U, dtype=float)
+        A = _real(U, UsageError, "U is not a real numeric array")
         if A.ndim != 2 or A.shape[1] != self.d:
             raise UsageError(f"expected points of dimension {self.d}, got shape {A.shape}")
         sq = np.einsum("ij,ij->i", A, A)
@@ -282,6 +279,7 @@ def _to_float(v: list[int], alpha: int, denom: int) -> NDArray[np.float64]:
     return vf / norm
 
 
+@functools.cache
 def _build(d: int) -> HarmonicBasis:
     mono: list[tuple[int, ...]] = []
     degree_of: list[int] = []
@@ -342,26 +340,16 @@ def _build(d: int) -> HarmonicBasis:
     )
 
 
-_cache: dict[int, HarmonicBasis] = {}
-_cache_lock = threading.Lock()
-
-
 def build_basis(d: int) -> HarmonicBasis:
     """Orthonormal spherical-harmonic basis of degrees 0..4 on S^{d-1}.
 
-    The basis for each d is built once and cached; the construction is
-    deterministic (monomials in degree order, lex order within a degree),
-    so repeated builds agree bit for bit.
+    The basis for each d is cached after its first build; the construction
+    is deterministic (monomials in degree order, lex order within a degree),
+    so builds that race on a first call agree bit for bit.
 
     Parameters
     ----------
     d : int
         Ambient dimension, at least 2.
     """
-    d = _integer("d", d)
-    if d < 2:
-        raise UsageError(f"build_basis requires d >= 2, got {d}")
-    with _cache_lock:
-        if d not in _cache:
-            _cache[d] = _build(d)
-        return _cache[d]
+    return _build(_integer("d", d, 2))

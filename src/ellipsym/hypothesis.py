@@ -26,7 +26,6 @@ back through the estimated location and scatter.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,15 +34,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .distributions import NullLaw, RadialDensity, pvalue, sample_uniform_sphere
-from .estimators import (
-    ZERO_NORM_TOL,
-    _centered_cov,
-    _real,
-    tyler_scatter,
-    validate_sample,
-)
-from .exceptions import DomainError, NumericError, UsageError, _integer
-from .linalg import gram_schmidt_root, row_norms, sym_inv_sqrt, sym_sqrt
+from .estimators import ZERO_NORM_TOL, _centered_cov, tyler_scatter, validate_sample
+from .exceptions import DomainError, NumericError, UsageError, _integer, _number
+from .linalg import _real, gram_schmidt_root, row_norms, sym_inv_sqrt, sym_sqrt
 from .resample import ALL_BUT_ONE, BootstrapPlan, run_replicates
 
 #: display names, keyed by the short method identifiers used everywhere else
@@ -202,6 +195,7 @@ def ks_test(X, R: int = 1000, seed: int = 0, workers: int = ALL_BUT_ONE) -> Test
     from .harmonics import MAX_DEGREE, build_basis  # imported here: only ks and mpq use it
     X, _ = _prepare(X)
     n, d = X.shape
+    plan = BootstrapPlan(R=R, seed=seed, workers=workers)
     basis = build_basis(d)
     params = {"n": n, "d": d, "R": R, "seed": seed, "max_degree": MAX_DEGREE}
     if n <= basis.size:
@@ -213,7 +207,6 @@ def ks_test(X, R: int = 1000, seed: int = 0, workers: int = ALL_BUT_ONE) -> Test
         params["warning"] = msg
 
     stat = _ks_statistic(X, basis)
-    plan = BootstrapPlan(R=R, seed=seed, workers=workers)
     reference = run_replicates(plan, _null_resampler(X), lambda S: _ks_statistics(S, basis))
     law = NullLaw.bootstrap(reference)
     return TestResult("ks", stat, pvalue(law, stat), law, params)
@@ -233,10 +226,10 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
     (1 - epsilon) times chi-squared.
     """
     from .harmonics import build_basis, harmonic_dim
+    if not 0.0 <= _number("epsilon", epsilon) < 1.0:
+        raise UsageError(f"epsilon must lie in [0, 1), got {epsilon}")
     X, _ = _prepare(X)
     n, d = X.shape
-    if not isinstance(epsilon, numbers.Real) or not 0.0 <= epsilon < 1.0:
-        raise UsageError(f"epsilon must lie in [0, 1), got {epsilon}")
 
     W, S = _centered_cov(X, n - 1)
     norms, U = _directions(W @ sym_inv_sqrt(S))
@@ -265,9 +258,7 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
 
 def schott_df(d: int) -> int:
     """Degrees of freedom of Schott's statistic: d^2 + d(d-1)(d^2+7d-6)/24 - 1."""
-    d = _integer("d", d)
-    if d < 2:
-        raise UsageError(f"schott_df requires d >= 2, got {d}")
+    d = _integer("d", d, 2)
     return d * d + d * (d - 1) * (d * d + 7 * d - 6) // 24 - 1
 
 
@@ -400,9 +391,7 @@ def _hp_pearson(tables) -> NDArray[np.float64]:
 def _hp_check(n, d, c, sector, g):
     if sector not in HP_SECTORS:
         raise UsageError(f"sector must be one of {HP_SECTORS}, got {sector!r}")
-    c = _integer("shell count c", c)
-    if c < 1:
-        raise UsageError(f"shell count c must be a positive integer, got {c!r}")
+    c = _integer("shell count c", c, 1)
     if c > n:
         raise UsageError(f"shell count c = {c} exceeds the sample size {n}")
     if sector == "orthants":
@@ -416,9 +405,9 @@ def _hp_check(n, d, c, sector, g):
     else:
         if d != 2:
             raise UsageError("bivariate angle sectors require d = 2")
-        if g is None or _integer("sector count g", g) < 1:
+        if g is None:
             raise UsageError("bivariate angle sectors require a positive integer g")
-        g = int(g)
+        g = _integer("sector count g", g, 1)
     if g * c > _HP_MAX_CELLS:
         raise UsageError(
             f"counts table with {g} sectors x {c} shells is too large "
@@ -451,7 +440,7 @@ def huffer_park_test(
             f"the {sector!r} sectors have no built-in calibration; "
             "pass a bootstrap replicate count R"
         )
-
+    plan = BootstrapPlan(R=HP_CALIBRATION_SIMS if R is None else R, seed=seed, workers=workers)
     params = {"n": n, "d": d, "c": c, "sector": sector, "g": g_eff, "seed": seed}
     if g_eff * c > n / 5.0:
         msg = (
@@ -466,12 +455,11 @@ def huffer_park_test(
     params["counts"] = tables[0]
 
     if R is None:
-        params["calibration_sims"] = R = HP_CALIBRATION_SIMS
+        params["calibration_sims"] = HP_CALIBRATION_SIMS
         generate, make_law = (lambda rng: rng.standard_normal((n, d))), NullLaw.monte_carlo
     else:
         params["R"] = R
         generate, make_law = _null_resampler(X), NullLaw.bootstrap
-    plan = BootstrapPlan(R=R, seed=seed, workers=workers)
     reference = run_replicates(
         plan, generate, lambda S: _hp_pearson(_hp_tables(S, c, sector, g_eff))
     )
@@ -573,11 +561,12 @@ def skew_optimal_test(
 
     With a known ``location`` the statistic is the Wald form
     n (mean - location)' V^{-1} (mean - location) with V Tyler's scatter
-    about the location, and the radial density plays no role.  Without a
-    location, radial scores phi_f reweight the directions; ``f`` is one of
-    "t" (param nu > 2, default 4), "logistic" (no param), or "powerExp"
-    (param beta > 0, beta != 1, default 0.5).  Null law chi2(d).
+    about the location; the radial density is checked but plays no role.
+    Without a location, radial scores phi_f reweight the directions; ``f``
+    is one of "t" (param nu > 2, default 4), "logistic" (no param), or
+    "powerExp" (param beta > 0, beta != 1, default 0.5).  Null law chi2(d).
     """
+    density = RadialDensity(f, param)
     X, location = _prepare(X, location)
     n, d = X.shape
 
@@ -589,7 +578,6 @@ def skew_optimal_test(
         params = {"n": n, "d": d, "location": "specified"}
         return TestResult("so", stat, pvalue(law, stat), law, params)
 
-    density = RadialDensity(f, param)
     norms, U = _tyler_directions(X, None)
 
     phi = density.phi(norms, d)

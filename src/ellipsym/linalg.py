@@ -20,11 +20,21 @@ from .exceptions import DomainError, UsageError
 SPD_RTOL = 1e-10
 
 
+def _real(A, error, message) -> NDArray[np.float64]:
+    """``A`` as a float array, else ``error`` with ``message`` and the reason."""
+    try:
+        if np.iscomplexobj(A):
+            raise TypeError("complex values")
+        return np.asarray(A, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{message}: {exc}") from None
+
+
 def _as_symmetric(S) -> NDArray[np.float64]:
-    A = np.asarray(S, dtype=float)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+    A = _real(S, DomainError, "S is not a real numeric matrix")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
         raise UsageError(
-            f"S must be a square matrix or a stack of them, got shape {A.shape}"
+            f"S must be a non-empty square matrix or a stack of them, got shape {A.shape}"
         )
     if not np.isfinite(A).all():
         raise DomainError("S has non-finite entries")

@@ -47,18 +47,17 @@ class BootstrapPlan:
     workers: int = ALL_BUT_ONE
 
     def __post_init__(self):
-        for name in ("R", "seed", "workers"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, low in (("R", None), ("seed", 0), ("workers", None)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         # the seed hash takes each replicate index as one 32-bit word
         if not 1 <= self.R <= 2**32:
             raise UsageError(f"R (replicate count) must be in [1, 2**32], got {self.R}")
         resolve_workers(self.workers)
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 def resolve_workers(workers: int) -> int:
     """Translate the worker setting into a concrete thread count."""
+    workers = _integer("workers", workers)
     if workers == ALL_BUT_ONE:
         return max(1, (os.cpu_count() or 1) - 1)
     if workers < 1:
@@ -69,12 +68,10 @@ def resolve_workers(workers: int) -> int:
 def _replicate_words(seed: int, r, retry: int = 0) -> NDArray[np.uint64]:
     """SeedSequence(key).generate_state(4, np.uint64), key = (seed, r[, retry > 0]).
 
-    r is an int (one row) or a uint32 array of m indices (m rows, hashed at
-    once): numpy's steps and constants, in uint32 arithmetic that wraps as its
-    C code does."""
+    seed, r and retry are >= 0, as the callers check; r is an int (one row) or
+    a uint32 array of m indices (m rows, hashed at once): numpy's steps and
+    constants, in uint32 arithmetic that wraps as its C code does."""
     def split(n):  # little-endian 32-bit words, [0] for 0
-        if n < 0:
-            raise UsageError(f"seeds and replicate indices must be >= 0, got {n}")
         return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
 
     key = split(seed) + ([r] if isinstance(r, np.ndarray) else split(int(r)))
@@ -123,7 +120,8 @@ def _seeded() -> Callable[[NDArray[np.uint64]], np.random.Generator]:
 def replicate_rng(seed: int, r: int, retry: int = 0) -> np.random.Generator:
     """The Generator assigned to replicate r (retry > 0 reseeds it): the stream
     of default_rng(SeedSequence((seed, r))), or of (seed, r, retry)."""
-    return _seeded()(_replicate_words(seed, r, retry)[0])
+    key = _integer("seed", seed, 0), _integer("r", r, 0), _integer("retry", retry, 0)
+    return _seeded()(_replicate_words(*key)[0])
 
 
 def run_replicates(

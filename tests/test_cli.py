@@ -455,6 +455,23 @@ def test_usage_error_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_arguments_are_refused_before_any_work(tmp_path, capsys):
+    # 12 cells for 20 rows would warn, but R = 0 is refused first: one line
+    assert main(["rolling", "--method", "hp", "--c", "3", "--R", "0", "--window", "20",
+                 "--step", "20", "--input", GOLDEN_20]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ellipsym: error: R ")
+    # a known location makes the density unused, but it is checked all the same
+    assert main(["test", "--method", "so", "--location", "0,0", "--param", "1",
+                 "--input", GOLDEN_20]) == 2
+    assert "nu > 2" in capsys.readouterr().err
+    # the samplers refuse n < 1, and no file is written
+    out = tmp_path / "unwritten.csv"
+    assert main(["simulate", "--dist", "normal", "--n", "0", "--d", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "ellipsym: error: n must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 def test_data_error_exits_1(tmp_path, capsys):
     p = write_csv(tmp_path / "bad.csv",
                   [["1", "2"], ["3", "x"], ["5", "6"], ["7", "8"], ["9", "1"]],
