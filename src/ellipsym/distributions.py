@@ -9,6 +9,7 @@ its contract (golden files depend on it) and must not change.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
 
@@ -171,8 +172,9 @@ class NullLaw:
 
     kind : {"chi2", "scaled_chi2", "monte_carlo", "bootstrap"}
     df, scale : parameters of the (scaled) chi-squared laws.
-    reference : sorted tuple of simulated statistic values for the
-        resampling-based kinds.
+    reference : simulated statistic values for the resampling-based kinds:
+        any non-empty iterable of finite real numbers, held as a stable-sorted
+        tuple of floats.
     """
 
     kind: str
@@ -193,8 +195,13 @@ class NullLaw:
             if self.scale is None or not 0.0 < self.scale <= 1.0:
                 raise UsageError("scaled chi-squared law requires scale in (0, 1]")
         if self.kind in ("monte_carlo", "bootstrap"):
-            if not self.reference:
-                raise UsageError(f"{self.kind} null law requires a reference sample")
+            ref = self.reference
+            if isinstance(ref, Iterable) and not isinstance(ref, np.ndarray):
+                ref = list(ref)  # a generator or a set, too
+            ref = _real(ref, UsageError, f"{self.kind} reference is not a real numeric sample")
+            if ref.ndim != 1 or not ref.size or not np.isfinite(ref).all():
+                raise UsageError(f"{self.kind} reference must be a flat, non-empty finite sample")
+            object.__setattr__(self, "reference", tuple(np.sort(ref, kind="stable").tolist()))
 
     @staticmethod
     def chi2(df: float) -> "NullLaw":
@@ -206,13 +213,11 @@ class NullLaw:
 
     @staticmethod
     def monte_carlo(reference) -> "NullLaw":
-        return NullLaw(kind="monte_carlo",
-                       reference=tuple(sorted(float(v) for v in reference)))
+        return NullLaw(kind="monte_carlo", reference=reference)
 
     @staticmethod
     def bootstrap(reference) -> "NullLaw":
-        return NullLaw(kind="bootstrap",
-                       reference=tuple(sorted(float(v) for v in reference)))
+        return NullLaw(kind="bootstrap", reference=reference)
 
     def describe(self) -> dict:
         """JSON-ready summary (reference samples reported by size only)."""

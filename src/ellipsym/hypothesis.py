@@ -116,9 +116,11 @@ def _prepare(X, location=None):
     return X, location
 
 
-def _directions(Y):
-    """(norms, U) for whitened residuals Y of shape (..., n, d); U is Y divided
-    in place."""
+def _directions(W, scatter):
+    """(norms, U) of the residuals W, shape (..., n, d), whitened by
+    ``sym_inv_sqrt(scatter)``, which checks the scatter: the whitened rows'
+    norms, and the whitened rows divided by them in place."""
+    Y = W @ sym_inv_sqrt(scatter)
     norms = row_norms(Y)
     if np.any(norms < ZERO_NORM_TOL):
         i = int(np.argmin(norms)) % norms.shape[-1]
@@ -140,7 +142,7 @@ def _null_resampler(X):
     """
     n, d = X.shape
     W, S = _centered_cov(X, n)
-    norms, _ = _directions(W @ sym_inv_sqrt(S))
+    norms, _ = _directions(W, S)
     theta = X.mean(axis=0)
     root = sym_sqrt(S)
 
@@ -175,8 +177,7 @@ def _ks_statistics(S, basis) -> NDArray[np.float64]:
     each sample's points in radius order; no (m, n) table is built.
     """
     k, n, d = S.shape
-    W, cov = _centered_cov(S, n)
-    norms, U = _directions(W @ sym_inv_sqrt(cov))
+    norms, U = _directions(*_centered_cov(S, n))
     return np.sqrt(basis.cumulative_peaks(U[_sorting_index(norms)])) / math.sqrt(n)
 
 
@@ -226,14 +227,13 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
     (1 - epsilon) times chi-squared.
     """
     from .harmonics import build_basis, harmonic_dim
-    if not 0.0 <= _number("epsilon", epsilon) < 1.0:
+    epsilon = _number("epsilon", epsilon)
+    if not 0.0 <= epsilon < 1.0:
         raise UsageError(f"epsilon must lie in [0, 1), got {epsilon}")
     X, _ = _prepare(X)
     n, d = X.shape
 
-    W, S = _centered_cov(X, n - 1)
-    norms, U = _directions(W @ sym_inv_sqrt(S))
-    del W  # only U and its kept rows are held from here on
+    norms, U = _directions(*_centered_cov(X, n - 1))
     if epsilon == 0.0:
         rho = 0.0
     else:
@@ -485,8 +485,8 @@ def _tyler_directions(X, location):
     mean when it is None, in the axes of the symmetric root of Tyler's
     scatter about that point."""
     theta = X.mean(axis=0) if location is None else location
-    root = sym_inv_sqrt(tyler_scatter(X, theta))  # checks the location first
-    return _directions((X - theta) @ root)
+    scatter = tyler_scatter(X, theta)  # checks the location first
+    return _directions(X - theta, scatter)
 
 
 def pseudo_gaussian_test(X, location=None) -> TestResult:

@@ -101,9 +101,7 @@ def gram_schmidt_root(S) -> NDArray[np.float64]:
     it (rather than with the symmetric root) makes the result invariant
     under lower-triangular positive-diagonal transformations of the data.
     """
-    L = np.linalg.cholesky(_spd(S))
-    # invert the triangular factor by forward substitution against I
-    return np.linalg.solve(L, np.eye(L.shape[-1]))
+    return np.linalg.inv(np.linalg.cholesky(_spd(S)))
 
 
 def row_norms(Y) -> NDArray[np.float64]:

@@ -3,16 +3,17 @@
 Each replicate r gets its own Generator, with exactly the stream of
 default_rng(SeedSequence((seed, r))), so the reference sample never depends
 on the worker count or the completion order.  SeedSequence's hash runs once
-per run over every replicate index, and numpy seeds each PCG64 from its row
-of words (so bit_generator.seed_seq is not a SeedSequence).  Replicates are
-drawn into blocks of consecutive indices whose size depends only on the
-replicate shape, the statistic reduces each block in one call, and the
-thread pool maps over blocks.  If a block fails numerically (an
-EllipsymError such as a singular resample, an ArithmeticError or a
-LinAlgError), its replicates are scored one at a time from the same draws; a
-replicate that fails alone is retried once on the stream of
-SeedSequence((seed, r, 1)), and a second failure is a hard error naming the
-replicate.  Any other exception is a programming error and propagates as is.
+per chunk of up to 65,536 replicate indices, and numpy seeds each PCG64 from
+its row of words (so bit_generator.seed_seq is not a SeedSequence).
+Replicates are drawn into blocks of consecutive indices, within one chunk,
+whose size depends only on the replicate shape; the statistic reduces each
+block in one call, and the thread pool maps over a chunk's blocks.  If a
+block fails numerically (an EllipsymError such as a singular resample, an
+ArithmeticError or a LinAlgError), its replicates are scored one at a time
+from the same draws; a replicate that fails alone is retried once on the
+stream of SeedSequence((seed, r, 1)), and a second failure is a hard error
+naming the replicate.  Any other exception is a programming error and
+propagates as is.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ ALL_BUT_ONE = -1
 #: array cells per block: enough replicates of a small sample to amortize
 #: per-call overhead, while each block buffer stays at 256 KiB
 BLOCK_CELLS = 2**15
+
+#: replicates whose seed words are hashed in one call; hashing takes about
+#: 148 bytes per replicate, so a chunk bounds it at about 10 MB for any R
+_SEED_CHUNK = 2**16
 
 _NUMERIC_FAILURES = (EllipsymError, ArithmeticError, np.linalg.LinAlgError)
 
@@ -138,7 +143,7 @@ def run_replicates(
     replicate index before sorting, so the output is identical for any
     worker count.
     """
-    words = _replicate_words(plan.seed, np.arange(plan.R, dtype=np.uint32))
+    words = _replicate_words(plan.seed, np.arange(min(plan.R, _SEED_CHUNK), dtype=np.uint32))
     seeded = _seeded()
     first = np.asarray(generate(seeded(words[0])), dtype=float)
     size = max(1, BLOCK_CELLS // max(1, first.size))
@@ -160,10 +165,11 @@ def run_replicates(
             x = np.asarray(generate(replicate_rng(plan.seed, r, 1)), dtype=float)
 
     def block(lo: int) -> None:
-        S = np.empty((min(size, plan.R - lo), *first.shape))
+        # a block ends at its chunk's end: words holds that chunk's rows
+        S = np.empty((min(size, plan.R - lo, _SEED_CHUNK - lo % _SEED_CHUNK), *first.shape))
         for i in range(len(S)):
             r = lo + i
-            x = first if r == 0 else generate(seeded(words[r]))
+            x = first if r == 0 else generate(seeded(words[r % _SEED_CHUNK]))
             if np.shape(x) != first.shape:
                 raise TypeError(f"replicate {r} has shape {np.shape(x)}, not {first.shape}")
             S[i] = x
@@ -173,16 +179,22 @@ def run_replicates(
             for i, x in enumerate(S):
                 values[lo + i] = alone(lo + i, x)
 
-    starts = range(0, plan.R, size)
+    def run(map_blocks) -> None:
+        nonlocal words
+        for start in range(0, plan.R, _SEED_CHUNK):
+            stop = min(start + _SEED_CHUNK, plan.R)
+            if start:
+                words = _replicate_words(plan.seed, np.arange(start, stop, dtype=np.uint32))
+            # materialize to propagate the first worker exception
+            list(map_blocks(block, range(start, stop, size)))
+
     n_workers = resolve_workers(plan.workers)
     if n_workers == 1:
-        for lo in starts:
-            block(lo)
+        run(map)
     else:
         from concurrent.futures import ThreadPoolExecutor  # imported only for a pool
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            # materialize to propagate the first worker exception
-            list(pool.map(block, starts))
+            run(pool.map)
 
     values.sort()
     return values

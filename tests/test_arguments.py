@@ -64,6 +64,16 @@ CASES = {
         lambda: pvalue(NullLaw.chi2(2), "3"), UsageError, "statistic must be a real"),
     "mvt string nu": (lambda: sample_mvt(Z2, I2, "4", 5, 0), UsageError, "real number"),
     "mpq bool epsilon": (lambda: mpq_test(X, epsilon=False), UsageError, "real number"),
+    # a resampled law's reference is one finite real sample, checked as an array
+    "bootstrap string reference": (
+        lambda: pvalue(NullLaw(kind="bootstrap", reference=("a",)), 1.0),
+        UsageError, "not a real numeric sample"),
+    "bootstrap nan reference": (
+        lambda: NullLaw.bootstrap([np.nan, 1.0]), UsageError, "finite sample"),
+    "monte_carlo inf reference": (
+        lambda: NullLaw.monte_carlo([np.inf]), UsageError, "finite sample"),
+    "bootstrap array reference": (
+        lambda: NullLaw(kind="bootstrap", reference=np.array([2.0, 1.0])), None, None),
     # counts: one integer rule with its lower bound
     "mvn float n": (lambda: sample_mvn(Z2, I2, 2.5, 0), UsageError, "n must be an integer"),
     "sphere float n": (

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,6 +180,28 @@ def test_null_law_validation():
         NullLaw.scaled_chi2(1.2, 4)
     with pytest.raises(UsageError):
         NullLaw.bootstrap([])
+
+
+GIVEN = [3.0, 1.5, -0.0, 0.0]
+SORTED = [-0.0, 0.0, 1.5, 3.0]  # equal values keep their order: -0.0 first, as given
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [(lambda: list(GIVEN), SORTED),
+     (lambda: tuple(GIVEN), SORTED),
+     (lambda: np.array(GIVEN), SORTED),
+     (lambda: (v for v in GIVEN), SORTED),
+     (lambda: dict.fromkeys(GIVEN[:3]), SORTED[:1] + SORTED[2:]),
+     (lambda: np.array([3, 1, 0], dtype=np.int8), [0.0, 1.0, 3.0]),
+     (lambda: [np.float32(3.0), Fraction(3, 2), 0], [0.0, 1.5, 3.0])],
+    ids=["list", "tuple", "array", "generator", "dict", "int8 array", "mixed"],
+)
+def test_resampled_reference_is_a_stable_sorted_tuple_of_floats(make, expected):
+    for law in (NullLaw.monte_carlo(make()), NullLaw.bootstrap(make())):
+        assert type(law.reference) is tuple
+        assert [(type(v), v, math.copysign(1.0, v)) for v in law.reference] == [
+            (float, v, math.copysign(1.0, v)) for v in expected]
 
 
 def test_pvalue_chi2():

@@ -10,6 +10,7 @@ must reproduce them independently.  Regenerate with:
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ellipsym import (
     run_replicates,
     sample_cov,
     sample_mvn,
+    sample_mvt,
     sample_skewed,
     schott_df,
     schott_test,
@@ -49,7 +51,7 @@ from ellipsym.hypothesis import (
     _null_resampler,
 )
 from ellipsym.estimators import _centered_cov
-from ellipsym.linalg import sym_inv_sqrt
+from ellipsym import resample
 from ellipsym.resample import BLOCK_CELLS, BootstrapPlan
 
 
@@ -196,6 +198,27 @@ def test_oracle_agreement_fresh_draw():
     assert relclose(skew_optimal_test(X).statistic, naive.so_statistic_oracle(X))
 
 
+ORACLE_SAMPLES = {
+    "skewed": lambda d: sample_skewed(d, 50, slant=2.0, seed=80 + d),
+    "t": lambda d: sample_mvt(np.arange(d) / d, np.eye(d) + 0.3, 5.0, 50, seed=90 + d),
+}
+
+
+@pytest.mark.parametrize("sample", list(ORACLE_SAMPLES))
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_tyler_and_schott_oracle_agreement_beyond_d2(d, sample):
+    X = ORACLE_SAMPLES[sample](d)
+    loc = X.mean(axis=0) + 0.1  # off the mean, so the located forms differ
+    assert relclose(schott_test(X).statistic, naive.schott_statistic_oracle(X), 1e-10)
+    for location in (None, loc):
+        got = pseudo_gaussian_test(X, location=location).statistic
+        assert relclose(got, naive.pg_statistic_oracle(X, location), 1e-10)
+        for f, param in (("t", 4.0), ("logistic", None), ("powerExp", 0.5)):
+            got = skew_optimal_test(X, location=location, f=f, param=param).statistic
+            expected = naive.so_statistic_oracle(X, f, param, location)
+            assert relclose(got, expected, 1e-10)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_kernel_oracle_agreement_any_d(d):
     # the addition-theorem kernels share no code with the harmonic basis
@@ -293,6 +316,16 @@ def test_mpq_epsilon_guard(golden_20x2):
     for epsilon in ("x", None):
         with pytest.raises(UsageError, match="epsilon"):
             mpq_test(golden_20x2, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1, 20), np.float32(0.05)], ids=type)
+def test_mpq_takes_epsilon_as_a_float(golden_40x2, epsilon):
+    # the result of the Python float: JSON-ready, and n * epsilon in double
+    # precision (float32 gives 40 * 0.05 = 2 exactly; the double is above 2)
+    r = mpq_test(golden_40x2, epsilon)
+    assert type(r.params["epsilon"]) is float
+    assert r.describe() == mpq_test(golden_40x2, float(epsilon)).describe()
+    json.dumps(r.describe())
 
 
 def test_hp_guards(golden_20x2):
@@ -527,6 +560,25 @@ def test_ks_reference_is_block_independent():
         assert np.array_equal(law.reference, null)
 
 
+CHUNKED_RUNS = {
+    "ks": (40, 3, lambda X, workers: ks_test(X, R=1200, seed=4, workers=workers)),
+    "hp_monte_carlo": (130, 2, lambda X, workers: huffer_park_test(X, 3, seed=4,
+                                                                   workers=workers)),
+}
+
+
+@pytest.mark.parametrize("method", list(CHUNKED_RUNS))
+def test_chunked_seed_words_keep_the_reference(monkeypatch, method):
+    # seed words hashed two blocks at a time give the same bytes as one hash
+    n, d, test = CHUNKED_RUNS[method]
+    X = sample_mvn(np.zeros(d), np.eye(d), n, seed=9)
+    expected = test(X, 1).null_law.reference
+    monkeypatch.setattr(resample, "_SEED_CHUNK", 2 * (BLOCK_CELLS // (n * d)))
+    assert len(expected) > 2 * resample._SEED_CHUNK
+    for workers in (1, 2):
+        assert test(X, workers).null_law.reference == expected
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_streaming_ks_matches_the_per_sample_tables(d):
     # n spans one chunk, a chunk edge on either side and several chunks.
@@ -543,7 +595,7 @@ def test_streaming_ks_matches_the_per_sample_tables(d):
         S[2, -1] -= S[2].sum(axis=0)
         W, cov = _centered_cov(S, n)
         assert np.array_equal(W[2], S[2])
-        norms, U = _directions(W @ sym_inv_sqrt(cov))
+        norms, U = _directions(W, cov)
         ranked = np.sort(norms, axis=-1)
         assert (ranked[1:, 1:] == ranked[1:, :-1]).any(axis=-1).all()
         assert np.array_equal(_ks_statistics(S, basis), naive.ks_table_oracle(norms, U, basis))
@@ -561,7 +613,7 @@ def test_streaming_mpq_matches_the_table_sum(d):
         X = rng.standard_normal((n, d))
         X[:, 0] **= 3
         W, cov = _centered_cov(X, n - 1)
-        norms, U = _directions(W @ sym_inv_sqrt(cov))
+        norms, U = _directions(W, cov)
         for epsilon in (0.0, 0.05):
             r = mpq_test(X, epsilon=epsilon)
             kept = U[norms > r.params["radius_cutoff"]]

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ellipsym import (
     resolve_workers,
     run_replicates,
 )
+from ellipsym import resample
 from ellipsym.resample import _replicate_words, _seeded
 
 
@@ -120,6 +122,41 @@ def test_replicates_sorted_and_worker_independent():
     assert np.array_equal(results[1], results[5])
     draws = [numpy_replicate_rng(123, r).standard_normal(5000) for r in range(40)]
     assert np.array_equal(results[1], np.sort([x[0] * x[-1] for x in draws]))
+
+
+@pytest.mark.parametrize("chunk", [6, 7, 13])
+def test_chunked_seed_words_give_the_same_replicates(monkeypatch, chunk):
+    # blocks of 6 replicates (as above) stop at each chunk's end, a block
+    # edge or not, and each chunk's words are those of its replicate indices
+    monkeypatch.setattr(resample, "_SEED_CHUNK", chunk)
+    draws = [numpy_replicate_rng(5, r).standard_normal(5000) for r in range(40)]
+    expected = np.sort([x[0] * x[-1] for x in draws])
+    for workers in (1, 2):
+        calls = []
+
+        def generate(rng):
+            calls.append(1)
+            return rng.standard_normal(5000)
+
+        plan = BootstrapPlan(R=40, seed=5, workers=workers)
+        got = run_replicates(plan, generate, lambda S: S[:, 0] * S[:, -1])
+        assert np.array_equal(got, expected)
+        assert len(calls) == 40  # no replicate is drawn twice
+
+
+def test_seed_words_are_hashed_a_chunk_at_a_time():
+    # hashing holds about 148 B per replicate, over 18 MiB for all 2**17 at
+    # once; a chunk of 2**16 holds about 9 MiB, next to the first chunk's
+    # words (2 MiB) and the 1 MiB of values
+    plan = BootstrapPlan(R=2**17, seed=0, workers=1)
+    tracemalloc.start()
+    try:
+        values = run_replicates(plan, lambda rng: np.zeros(1), lambda S: S[:, 0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 2**17
+    assert peak < 15 * 2**20
 
 
 def test_blocks_under_thread_contention():
