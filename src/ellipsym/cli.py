@@ -63,7 +63,7 @@ from .hypothesis import (
     schott_test,
     skew_optimal_test,
 )
-from .distributions import sample_mvn, sample_mvt, sample_skewed
+from .distributions import RADIAL_FAMILIES, sample_mvn, sample_mvt, sample_skewed
 from .resample import ALL_BUT_ONE
 
 ALTERNATIVE_LINE = (
@@ -259,15 +259,6 @@ def _split_tokens(text: str) -> list:
     return [t for t in text.split(",") if t.strip() != ""]
 
 
-def _parse_location(text: str) -> np.ndarray:
-    try:
-        return np.array([float(t) for t in text.split(",")])
-    except ValueError:
-        raise UsageError(
-            f"--location must be comma-separated numbers, got {text!r}"
-        ) from None
-
-
 def _run_method(X: np.ndarray, args) -> TestResult:
     method = args.method
     if method == "ks":
@@ -289,9 +280,10 @@ def _run_method(X: np.ndarray, args) -> TestResult:
             seed=args.seed,
             workers=args.jobs,
         )
+    location = None if args.location is None else args.location.split(",")
     if method == "pg":
-        return pseudo_gaussian_test(X, location=args.location)
-    return skew_optimal_test(X, location=args.location, f=args.f, param=args.param)
+        return pseudo_gaussian_test(X, location=location)
+    return skew_optimal_test(X, location=location, f=args.f, param=args.param)
 
 
 def format_text_block(result: TestResult, data_name: str) -> str:
@@ -413,10 +405,7 @@ def _add_test_flags(parser: argparse.ArgumentParser) -> None:
         "--g", type=int, default=None, help="hp: sector count for bivariate angles"
     )
     parser.add_argument(
-        "--f",
-        choices=["t", "logistic", "powerExp"],
-        default="t",
-        help="so: radial density family",
+        "--f", choices=RADIAL_FAMILIES, default="t", help="so: radial density family"
     )
     parser.add_argument(
         "--param",
@@ -426,7 +415,6 @@ def _add_test_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--location",
-        type=_parse_location,
         default=None,
         metavar="X1,X2,...",
         help="pg/so: known location; omitted means the location is estimated",

@@ -274,16 +274,21 @@ def sample_uniform_sphere(d: int, n: int, seed) -> NDArray[np.float64]:
     return Z / norms[:, None]
 
 
-def sample_mvn(mean, cov, n: int, seed) -> NDArray[np.float64]:
-    """n draws from N(mean, cov) via the symmetric square root of cov."""
-    n = _integer("n", n, 1)
+def _gaussian(mean, cov, n: int, seed):
+    """(mean, Generator, Z @ cov^{1/2}) for an n x d standard normal block Z,
+    drawn once mean and cov are checked: the Gaussian step of both samplers."""
     mean = _real(mean, UsageError, "mean is not a real numeric vector")
     root = sym_sqrt(cov)
     if mean.shape != (root.shape[0],):
         raise UsageError("mean and cov dimensions do not match")
     rng = _rng(seed)
-    Z = rng.standard_normal((n, root.shape[0]))
-    return mean + Z @ root
+    return mean, rng, rng.standard_normal((n, root.shape[0])) @ root
+
+
+def sample_mvn(mean, cov, n: int, seed) -> NDArray[np.float64]:
+    """n draws from N(mean, cov) via the symmetric square root of cov."""
+    mean, _, ZR = _gaussian(mean, cov, _integer("n", n, 1), seed)
+    return mean + ZR
 
 
 def sample_mvt(mean, cov, nu: float, n: int, seed) -> NDArray[np.float64]:
@@ -296,14 +301,9 @@ def sample_mvt(mean, cov, nu: float, n: int, seed) -> NDArray[np.float64]:
     nu, n = _number("nu", nu), _integer("n", n, 1)
     if not 0 < nu < math.inf:
         raise UsageError(f"sample_mvt requires a finite nu > 0, got {nu}")
-    mean = _real(mean, UsageError, "mean is not a real numeric vector")
-    root = sym_sqrt(cov)
-    if mean.shape != (root.shape[0],):
-        raise UsageError("mean and cov dimensions do not match")
-    rng = _rng(seed)
-    Z = rng.standard_normal((n, root.shape[0]))
+    mean, rng, ZR = _gaussian(mean, cov, n, seed)
     w = rng.chisquare(nu, size=n)
-    return mean + (Z @ root) * np.sqrt(nu / w)[:, None]
+    return mean + ZR * np.sqrt(nu / w)[:, None]
 
 
 def sample_skewed(d: int, n: int, slant: float, seed) -> NDArray[np.float64]:

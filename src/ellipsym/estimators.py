@@ -111,8 +111,9 @@ def tyler_scatter(X, location) -> NDArray[np.float64]:
         at most ``ZERO_NORM_TOL**2`` times the median, a scale that one gross
         outlier cannot move), or if the second-moment matrix overflows.
     NumericError
-        If an iterate is numerically singular, as when one observation is
-        many orders of magnitude farther from ``location`` than the rest.
+        If an iterate is numerically singular, as when the data are collinear
+        or one observation is many orders of magnitude farther from
+        ``location`` than the rest.
     ConvergenceError
         If the residual is still at least 1e-12 after ``TYLER_MAX_ITER``
         (500) iterations; the message carries the last residual.
@@ -144,8 +145,9 @@ def tyler_scatter(X, location) -> NDArray[np.float64]:
             iroot = sym_inv_sqrt(V)
         except DomainError as exc:
             raise NumericError(
-                "Tyler scatter iterate is numerically singular; an observation "
-                "may lie too far from the location for the fit (rescale or remove it)"
+                "Tyler scatter iterate is numerically singular; the data may be "
+                "collinear, or an observation may lie too far from the location "
+                "for the fit (rescale or remove it)"
             ) from exc
         Z = W @ iroot
         q = np.einsum("ij,ij->i", Z, Z)  # w_i' V^{-1} w_i

@@ -232,13 +232,12 @@ def mpq_test(X, epsilon: float = 0.05) -> TestResult:
         raise UsageError(f"epsilon must lie in [0, 1), got {epsilon}")
     X, _ = _prepare(X)
     n, d = X.shape
+    k = math.ceil(epsilon * n)  # directions trimmed; 0 exactly when epsilon is
+    if k >= n:
+        raise UsageError(f"epsilon = {epsilon} trims all n = {n} observations")
 
     norms, U = _directions(*_centered_cov(X, n - 1))
-    if epsilon == 0.0:
-        rho = 0.0
-    else:
-        k = math.ceil(epsilon * n)
-        rho = float(np.partition(norms, k - 1)[k - 1])
+    rho = 0.0 if k == 0 else float(np.partition(norms, k - 1)[k - 1])
 
     U = U[norms > rho]
     basis = build_basis(d)
@@ -388,7 +387,8 @@ def _hp_pearson(tables) -> NDArray[np.float64]:
     return np.sum((tables.reshape(k, -1) - expected) ** 2, axis=1) / expected
 
 
-def _hp_check(n, d, c, sector, g):
+def _hp_check(n, d, c, sector, g, R):
+    """(c, g) once every rule of hp's arguments holds, checked in this order."""
     if sector not in HP_SECTORS:
         raise UsageError(f"sector must be one of {HP_SECTORS}, got {sector!r}")
     c = _integer("shell count c", c, 1)
@@ -413,7 +413,12 @@ def _hp_check(n, d, c, sector, g):
             f"counts table with {g} sectors x {c} shells is too large "
             f"(over {_HP_MAX_CELLS} cells)"
         )
-    return c, g, sector
+    if R is None and sector != "orthants":
+        raise UsageError(
+            f"the {sector!r} sectors have no built-in calibration; "
+            "pass a bootstrap replicate count R"
+        )
+    return c, g
 
 
 def huffer_park_test(
@@ -434,12 +439,7 @@ def huffer_park_test(
     """
     X, _ = _prepare(X)
     n, d = X.shape
-    c, g_eff, sector = _hp_check(n, d, c, sector, g)
-    if R is None and sector != "orthants":
-        raise UsageError(
-            f"the {sector!r} sectors have no built-in calibration; "
-            "pass a bootstrap replicate count R"
-        )
+    c, g_eff = _hp_check(n, d, c, sector, g, R)
     plan = BootstrapPlan(R=HP_CALIBRATION_SIMS if R is None else R, seed=seed, workers=workers)
     params = {"n": n, "d": d, "c": c, "sector": sector, "g": g_eff, "seed": seed}
     if g_eff * c > n / 5.0:

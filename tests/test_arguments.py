@@ -64,6 +64,10 @@ CASES = {
         lambda: pvalue(NullLaw.chi2(2), "3"), UsageError, "statistic must be a real"),
     "mvt string nu": (lambda: sample_mvt(Z2, I2, "4", 5, 0), UsageError, "real number"),
     "mpq bool epsilon": (lambda: mpq_test(X, epsilon=False), UsageError, "real number"),
+    # ceil(epsilon * n) = n puts the cutoff at the largest radius: nothing is left
+    "mpq epsilon trims all": (
+        lambda: mpq_test(X, epsilon=0.999), UsageError, "epsilon = 0.999 trims all n = 200"),
+    "mpq epsilon keeps one": (lambda: mpq_test(X, epsilon=0.99), None, None),
     # a resampled law's reference is one finite real sample, checked as an array
     "bootstrap string reference": (
         lambda: pvalue(NullLaw(kind="bootstrap", reference=("a",)), 1.0),
@@ -90,10 +94,25 @@ CASES = {
     "sym_sqrt complex": (
         lambda: sym_sqrt(1j * np.eye(2)), DomainError, "not a real numeric matrix"),
     "sym_sqrt empty": (lambda: sym_sqrt(np.eye(0)), UsageError, "non-empty square"),
+    "sym_sqrt non-finite": (
+        lambda: sym_sqrt([[1.0, np.inf], [np.inf, 1.0]]), DomainError, "non-finite entries"),
     "mvn string mean": (
         lambda: sample_mvn(["a", "b"], I2, 5, 0), UsageError, "mean is not a real"),
+    "mvt mean beside cov": (
+        lambda: sample_mvt(np.zeros(3), I2, 4.0, 5, 0), UsageError, "dimensions do not match"),
     "evaluate string": (
         lambda: build_basis(2).evaluate("abc"), UsageError, "not a real numeric array"),
+    "degree_slice absent": (
+        lambda: build_basis(2).degree_slice(5), UsageError, "no degree-5 functions"),
+    # hp: sectors, their count and the size of the counts table
+    "hp unknown sector": (
+        lambda: huffer_park_test(X, 2, sector="cubes"), UsageError, "sector must be one of"),
+    "hp g with permutations": (
+        lambda: huffer_park_test(X, 2, sector="permutations", g=6, R=5),
+        UsageError, r"fixed at d! for permutation"),
+    "hp cell cap": (
+        lambda: huffer_park_test(SMALL, 2, sector="bivariateangles", g=3_000_000, R=5),
+        UsageError, "3000000 sectors x 2 shells is too large"),
     # R is refused before the observed statistic and any size warning
     "ks R 0": (lambda: ks_test(SMALL, R=0), UsageError, "replicate count"),
     "hp R 0": (lambda: huffer_park_test(SMALL, 3, R=0), UsageError, "replicate count"),

@@ -472,6 +472,42 @@ def test_arguments_are_refused_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
+#: id -> (argv, its one stderr line after "ellipsym: error: "); OUT is a path
+#: in a temporary directory, which a refused command leaves unwritten
+USAGE_ERRORS = {
+    "repeated column": (["test", "--method", "schott", "--columns", "x1,x1"],
+                        "the column selection repeats a column"),
+    "no column": (["test", "--method", "schott", "--columns", ","],
+                  "the column selection is empty"),
+    "unknown date column": (
+        ["rolling", "--method", "schott", "--window", "5", "--step", "5",
+         "--date-column", "day"], "date column 'day' not found in header"),
+    "step 0": (["rolling", "--method", "schott", "--window", "5", "--step", "0"],
+               "--step must be at least 1, got 0"),
+    "simulate d 1": (["simulate", "--dist", "normal", "--n", "5", "--d", "1", "--out", "OUT"],
+                     "--d must be at least 2, got 1"),
+    # the library's location rule, not a parser of the CLI's own
+    "pg location": (
+        ["test", "--method", "pg", "--location", "a,b"],
+        "location is not a real numeric vector: could not convert string to float: 'a'"),
+    "so location": (
+        ["rolling", "--method", "so", "--window", "10", "--step", "10", "--location", "0,b"],
+        "location is not a real numeric vector: could not convert string to float: 'b'"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_error_is_one_line_and_exit_2(tmp_path, capsys, case):
+    argv, message = USAGE_ERRORS[case]
+    out = tmp_path / "unwritten.csv"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    if argv[0] != "simulate":
+        argv += ["--input", GOLDEN_20]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ellipsym: error: {message}\n"
+    assert not out.exists()
+
+
 def test_data_error_exits_1(tmp_path, capsys):
     p = write_csv(tmp_path / "bad.csv",
                   [["1", "2"], ["3", "x"], ["5", "6"], ["7", "8"], ["9", "1"]],

@@ -90,6 +90,7 @@ def test_chi2_tails_at_zero_and_underflow():
     for df in (2, 5, 870):
         assert chi2_sf(0.0, df) == 1.0
         assert chi2_sf(1e5, df) == 0.0
+        assert chi2_sf(math.inf, df) == 0.0
     assert pvalue(NullLaw.chi2(5), 4000.0) == 0.0
 
 

@@ -142,6 +142,18 @@ def test_tyler_singular_iterate_is_typed(rng):
             test(X, location=np.zeros(3))
 
 
+def test_tyler_on_collinear_data_names_both_causes(rng):
+    # x2 = 2 x1 + 1: the start matrix is singular as for a gross outlier,
+    # and the message names collinearity as well
+    x1 = rng.standard_normal(200)
+    X = np.column_stack([x1, 2.0 * x1 + 1.0, rng.standard_normal(200)])
+    calls = (lambda: tyler_scatter(X, X.mean(axis=0)),
+             lambda: pseudo_gaussian_test(X), lambda: skew_optimal_test(X))
+    for call in calls:
+        with pytest.raises(NumericError, match="singular; the data may be collinear"):
+            call()
+
+
 def test_tyler_convergence_error(monkeypatch):
     monkeypatch.setattr(estimators, "TYLER_MAX_ITER", 1)
     X = sample_mvn(np.zeros(2), np.eye(2), 50, seed=2)

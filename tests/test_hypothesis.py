@@ -420,6 +420,19 @@ def test_non_real_matrix_is_a_domain_error(X):
             run()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [lambda X: ks_test(X, R=5, seed=0, workers=1),
+     lambda X: huffer_park_test(X, 2, R=5, seed=0, workers=1)],
+    ids=["ks", "hp_bootstrap"],
+)
+def test_an_observation_at_the_mean_is_a_domain_error(run):
+    # the last row is the sample mean: its standardized direction is undefined
+    Z = sample_mvn(Z2, np.eye(2), 20, seed=4)
+    with pytest.raises(DomainError, match="observation 40 coincides with the location"):
+        run(np.vstack([Z, -Z, [[0.0, 0.0]]]))
+
+
 #: the six tests, pg and so also about a given location, as functions of the
 #: sample and that location
 MAGNITUDE_RUNS = {
