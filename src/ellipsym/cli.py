@@ -20,6 +20,7 @@ import argparse
 import codecs
 import contextlib
 import csv
+import inspect
 import io
 import itertools
 import json
@@ -259,31 +260,64 @@ def _split_tokens(text: str) -> list:
     return [t for t in text.split(",") if t.strip() != ""]
 
 
+#: --method -> the name of its library function, looked up in this module's
+#: globals at each call, so a function rebound here is the one that runs
+_METHODS = {"ks": "ks_test", "mpq": "mpq_test", "schott": "schott_test",
+            "hp": "huffer_park_test", "pg": "pseudo_gaussian_test", "so": "skew_optimal_test"}
+
+#: library parameter -> (flag, add_argument keywords) of each method option.
+#: An option not given is absent from the parsed arguments, so the function's
+#: own default applies; the function's parameters are the options it reads.
+_METHOD_FLAGS = {
+    "R": ("--R", dict(type=int, help="bootstrap replicates (ks default 1000; "
+                                    "hp default: Monte-Carlo calibration)")),
+    "epsilon": ("--epsilon", dict(type=float, help="mpq radial trimming fraction")),
+    "c": ("--c", dict(type=int, help="hp: number of radial shells")),
+    "sector": ("--sector", dict(choices=list(HP_SECTORS), help="hp: sector scheme")),
+    "g": ("--g", dict(type=int, help="hp: sector count for bivariate angles")),
+    "f": ("--f", dict(choices=RADIAL_FAMILIES, help="so: radial density family")),
+    "param": ("--param", dict(type=float, help="so: radial density parameter "
+                                               "(t default 4, powerExp default 0.5)")),
+    "location": ("--location", dict(
+        type=lambda text: text.split(","), metavar="X1,X2,...",  # the library converts it
+        help="pg/so: known location; omitted means the location is estimated")),
+    "seed": ("--seed", dict(type=int, help="resampling seed")),
+    "workers": ("--jobs", dict(type=int, metavar="JOBS", help="worker threads for resampling; "
+                               f"{ALL_BUT_ONE} (default) = all but one core")),
+}
+
+#: --dist -> the name of its sampler, and the sampler options, as above
+_SAMPLERS = {"normal": "sample_mvn", "t": "sample_mvt", "skewnormal": "sample_skewed"}
+_SAMPLE_FLAGS = {"nu": ("--nu", dict(type=float, help="t: degrees of freedom")),
+                 "slant": ("--slant", dict(type=float, help="skewnormal: slant"))}
+
+
+def _options(choice: str, function, args, flags, defaults=None) -> dict:
+    """The options of ``flags`` given in ``args``, over the ``defaults`` that
+    ``function`` reads, as its keywords.  A UsageError names each given one it
+    has no parameter for, or else each one it requires that is missing."""
+    params = inspect.signature(function).parameters
+    given = {dest: value for dest, value in vars(args).items() if dest in flags}
+    unread = [flags[dest][0] for dest in given if dest not in params]
+    if unread:
+        raise UsageError(f"{choice} does not read {', '.join(unread)}")
+    options = {dest: v for dest, v in (defaults or {}).items() if dest in params} | given
+    missing = [flag for dest, (flag, _) in flags.items() if dest not in options
+               and dest in params and params[dest].default is params[dest].empty]
+    if missing:
+        raise UsageError(f"{choice} requires {', '.join(missing)}")
+    return options
+
+
+def _method(args):
+    """The library function ``--method`` names and the given options it reads."""
+    function = globals()[_METHODS[args.method]]
+    return function, _options(f"--method {args.method}", function, args, _METHOD_FLAGS)
+
+
 def _run_method(X: np.ndarray, args) -> TestResult:
-    method = args.method
-    if method == "ks":
-        R = 1000 if args.R is None else args.R
-        return ks_test(X, R=R, seed=args.seed, workers=args.jobs)
-    if method == "mpq":
-        return mpq_test(X, epsilon=args.epsilon)
-    if method == "schott":
-        return schott_test(X)
-    if method == "hp":
-        if args.c is None:
-            raise UsageError("--c (number of radial shells) is required for hp")
-        return huffer_park_test(
-            X,
-            args.c,
-            sector=args.sector,
-            g=args.g,
-            R=args.R,
-            seed=args.seed,
-            workers=args.jobs,
-        )
-    location = None if args.location is None else args.location.split(",")
-    if method == "pg":
-        return pseudo_gaussian_test(X, location=location)
-    return skew_optimal_test(X, location=location, f=args.f, param=args.param)
+    function, options = _method(args)
+    return function(X, **options)
 
 
 def format_text_block(result: TestResult, data_name: str) -> str:
@@ -313,6 +347,7 @@ def _output(path: Optional[str]):
 
 
 def cmd_test(args) -> int:
+    _method(args)  # an option the method does not read stops before any work
     X, _ = _ingest(args.input, not args.no_header, args.columns)
     result = _run_method(X, args)
     if args.format == "json":
@@ -324,6 +359,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_rolling(args) -> int:
+    _method(args)
     if args.step < 1:
         raise UsageError(f"--step must be at least 1, got {args.step}")
     X, labels = _ingest(args.input, not args.no_header, args.columns, args.date_column)
@@ -347,15 +383,14 @@ def cmd_rolling(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    sampler = globals()[_SAMPLERS[args.dist]]
+    options = _options(f"--dist {args.dist}", sampler, args, _SAMPLE_FLAGS,
+                       {"nu": 4.0, "slant": 1.0})
     n, d = args.n, args.d
     if d < 2:
         raise UsageError(f"--d must be at least 2, got {d}")
-    if args.dist == "normal":
-        X = sample_mvn(np.zeros(d), np.eye(d), n, args.seed)
-    elif args.dist == "t":
-        X = sample_mvt(np.zeros(d), np.eye(d), args.nu, n, args.seed)
-    else:
-        X = sample_skewed(d, n, args.slant, args.seed)
+    shape = (d,) if args.dist == "skewnormal" else (np.zeros(d), np.eye(d))
+    X = sampler(*shape, n=n, seed=args.seed, **options)
 
     with _output(args.out) as fh:
         header = ",".join(f"x{j + 1}" for j in range(d))
@@ -388,44 +423,8 @@ def _add_test_flags(parser: argparse.ArgumentParser) -> None:
         metavar="A,B,...",
         help="columns to use, by header name or 1-based index (default: all)",
     )
-    parser.add_argument(
-        "--R",
-        type=int,
-        default=None,
-        help="bootstrap replicates (ks default 1000; hp default: Monte-Carlo calibration)",
-    )
-    parser.add_argument(
-        "--epsilon", type=float, default=0.05, help="mpq radial trimming fraction"
-    )
-    parser.add_argument("--c", type=int, default=None, help="hp: number of radial shells")
-    parser.add_argument(
-        "--sector", choices=list(HP_SECTORS), default="orthants", help="hp: sector scheme"
-    )
-    parser.add_argument(
-        "--g", type=int, default=None, help="hp: sector count for bivariate angles"
-    )
-    parser.add_argument(
-        "--f", choices=RADIAL_FAMILIES, default="t", help="so: radial density family"
-    )
-    parser.add_argument(
-        "--param",
-        type=float,
-        default=None,
-        help="so: radial density parameter (t default 4, powerExp default 0.5)",
-    )
-    parser.add_argument(
-        "--location",
-        default=None,
-        metavar="X1,X2,...",
-        help="pg/so: known location; omitted means the location is estimated",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="resampling seed")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=ALL_BUT_ONE,
-        help=f"worker threads for resampling; {ALL_BUT_ONE} (default) = all but one core",
-    )
+    for dest, (flag, keywords) in _METHOD_FLAGS.items():
+        parser.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **keywords)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,14 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_roll.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
     p_sim = sub.add_parser("simulate", help="write a synthetic CSV sample")
-    p_sim.add_argument(
-        "--dist", required=True, choices=["normal", "t", "skewnormal"]
-    )
+    p_sim.add_argument("--dist", required=True, choices=list(_SAMPLERS))
     p_sim.add_argument("--n", type=int, required=True, help="number of rows")
     p_sim.add_argument("--d", type=int, required=True, help="number of columns")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--nu", type=float, default=4.0, help="t: degrees of freedom")
-    p_sim.add_argument("--slant", type=float, default=1.0, help="skewnormal: slant")
+    for dest, (flag, keywords) in _SAMPLE_FLAGS.items():
+        p_sim.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **keywords)
     p_sim.add_argument("--out", required=True, help="output CSV path")
     return parser
 

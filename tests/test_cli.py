@@ -18,9 +18,12 @@ from ellipsym import (
     EllipsymError,
     NullLaw,
     ParseError,
+    huffer_park_test,
+    ks_test,
     mpq_test,
     pseudo_gaussian_test,
     sample_mvn,
+    schott_test,
     skew_optimal_test,
 )
 from ellipsym import cli
@@ -423,6 +426,20 @@ def test_cmd_test_location_flag(capsys):
     assert blob["statistic"] == pytest.approx(9.55552301611759)
 
 
+@pytest.mark.filterwarnings("ignore:sector/shell grid")
+@pytest.mark.parametrize("method, function", [
+    ("ks", ks_test), ("mpq", mpq_test), ("schott", schott_test),
+    ("hp", huffer_park_test), ("pg", pseudo_gaussian_test), ("so", skew_optimal_test)])
+def test_cli_defaults_are_the_library_defaults(capsys, method, function):
+    # with no method option given, the command line calls the library function
+    # with no keywords (hp needs its shell count), so every default is the library's
+    extra, args = (["--c", "2"], (2,)) if method == "hp" else ([], ())
+    assert main(["test", "--method", method, "--input", GOLDEN_20, *extra,
+                 "--format", "json"]) == 0
+    expected = function(ingest_csv(GOLDEN_20), *args).describe()
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -493,6 +510,21 @@ USAGE_ERRORS = {
     "so location": (
         ["rolling", "--method", "so", "--window", "10", "--step", "10", "--location", "0,b"],
         "location is not a real numeric vector: could not convert string to float: 'b'"),
+    # a method's parameters are the options it reads; any other given one is refused
+    "ks location": (["test", "--method", "ks", "--location", "1,2"],
+                    "--method ks does not read --location"),
+    "schott options": (
+        ["test", "--method", "schott", "--epsilon", "5", "--c", "0", "--location", "a,b"],
+        "--method schott does not read --epsilon, --c, --location"),
+    "so seed": (
+        ["rolling", "--method", "so", "--window", "10", "--step", "10", "--seed", "1",
+         "--out", "OUT"], "--method so does not read --seed"),
+    "hp without c": (["rolling", "--method", "hp", "--window", "10", "--step", "10",
+                      "--out", "OUT"], "--method hp requires --c"),
+    "normal nu": (["simulate", "--dist", "normal", "--nu", "3", "--n", "5", "--d", "2",
+                   "--out", "OUT"], "--dist normal does not read --nu"),
+    "t slant": (["simulate", "--dist", "t", "--slant", "2", "--n", "5", "--d", "2",
+                 "--out", "OUT"], "--dist t does not read --slant"),
 }
 
 
@@ -559,8 +591,9 @@ def test_jobs_flag_alone_sets_the_worker_count(monkeypatch, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
     assert main([*argv, "--jobs", "0"]) == 2
     assert capsys.readouterr().err.startswith("ellipsym: error: workers must be")
-    # schott never resamples, so it never reads the count
-    assert main(["test", "--method", "schott", "--input", GOLDEN_20, "--jobs", "0"]) == 0
+    # schott never resamples, so it does not read the count and refuses it
+    assert main(["test", "--method", "schott", "--input", GOLDEN_20, "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "ellipsym: error: --method schott does not read --jobs\n"
 
 
 def test_too_few_rows_for_the_tests_exits_1(tmp_path, capsys):
@@ -739,10 +772,9 @@ assert all(0.0 < r.p_value <= 1.0 for r in results)
 path = {path!r}
 assert main(["simulate", "--dist", "normal", "--n", "60", "--d", "2",
              "--seed", "1", "--out", path]) == 0
-for method, extra in (("ks", ["--R", "20"]), ("mpq", []), ("schott", []),
-                      ("hp", ["--c", "2"]), ("pg", []), ("so", [])):
-    assert main(["test", "--method", method, "--input", path, "--jobs", "1",
-                 *extra]) == 0
+for method, extra in (("ks", ["--R", "20", "--jobs", "1"]), ("mpq", []), ("schott", []),
+                      ("hp", ["--c", "2", "--jobs", "1"]), ("pg", []), ("so", [])):
+    assert main(["test", "--method", method, "--input", path, *extra]) == 0
 assert main(["rolling", "--method", "so", "--input", path,
              "--window", "30", "--step", "15"]) == 0
 print("scipy" in sys.modules and sys.modules["scipy"] is not None)
