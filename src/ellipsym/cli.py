@@ -11,7 +11,9 @@ each distinct library warning print as one ``ellipsym:`` line on stderr.
 
 Importing this module before numpy, in any program, loads numpy's OpenBLAS
 with one thread for the rest of that process (see the note at the top of
-the imports), unless an OpenBLAS thread variable is already set.
+the imports), unless an OpenBLAS thread variable is already set.  ``main``
+also fixes glibc's heap thresholds for its process (see ``_pin_heap``);
+importing the module does not.
 """
 
 from __future__ import annotations
@@ -462,7 +464,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: (glibc mallopt parameter, value): M_MMAP_THRESHOLD and M_TRIM_THRESHOLD at
+#: the ceilings glibc's dynamic thresholds reach on 64-bit, 32 MiB and twice that
+_HEAP_POLICY = ((-3, 32 * 2**20), (-1, 64 * 2**20))
+_MALLOC_VARIABLES = {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_"}
+
+
+def _pin_heap() -> None:
+    """Fix glibc's heap thresholds for this process, unless the user set one.
+
+    With glibc's defaults, the heap top that a replicate block's temporaries
+    grew is trimmed once they are freed, and the next block faults it back
+    in.  Both values are set: the trim threshold alone would switch off the
+    dynamic mmap threshold, so that each large array is mapped and faulted
+    afresh.  Nothing happens where libc has no mallopt.
+    """
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if _MALLOC_VARIABLES & set(os.environ) or "glibc.malloc." in tunables:
+        return
+    import ctypes  # numpy has loaded it already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no dlopen(NULL)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _HEAP_POLICY:
+        mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    _pin_heap()
     args = build_parser().parse_args(argv)
     command = {"test": cmd_test, "rolling": cmd_rolling}.get(args.command, cmd_simulate)
     with warnings.catch_warnings(record=True) as caught:  # the user's filters apply

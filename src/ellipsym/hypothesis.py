@@ -138,7 +138,9 @@ def _null_resampler(X):
     Fits the ellipse (mean, 1/n covariance), then draws datasets whose
     radii are resampled from the observed standardized radii and whose
     directions are uniform on the sphere.  Per replicate the draw order is:
-    radius indices first, then the direction block.
+    radius indices first, then the direction block.  The generator takes
+    run_replicates' out array, and its in-place steps are the same IEEE
+    operations as theta + (norms[idx, None] * u) @ root.
     """
     n, d = X.shape
     W, S = _centered_cov(X, n)
@@ -146,10 +148,13 @@ def _null_resampler(X):
     theta = X.mean(axis=0)
     root = sym_sqrt(S)
 
-    def generate(rng: np.random.Generator) -> NDArray[np.float64]:
+    def generate(rng: np.random.Generator, out=None) -> NDArray[np.float64]:
         idx = rng.integers(0, n, size=n)
         u = sample_uniform_sphere(d, n, rng)
-        return theta + (norms[idx, None] * u) @ root
+        u *= norms[idx, None]
+        x = np.matmul(u, root, out=out)
+        x += theta
+        return x
 
     return generate
 
@@ -456,7 +461,8 @@ def huffer_park_test(
 
     if R is None:
         params["calibration_sims"] = HP_CALIBRATION_SIMS
-        generate, make_law = (lambda rng: rng.standard_normal((n, d))), NullLaw.monte_carlo
+        generate = lambda rng, out=None: rng.standard_normal((n, d), out=out)  # noqa: E731
+        make_law = NullLaw.monte_carlo
     else:
         params["R"] = R
         generate, make_law = _null_resampler(X), NullLaw.bootstrap

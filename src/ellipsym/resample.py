@@ -131,17 +131,20 @@ def replicate_rng(seed: int, r: int, retry: int = 0) -> np.random.Generator:
 
 def run_replicates(
     plan: BootstrapPlan,
-    generate: Callable[[np.random.Generator], NDArray[np.float64]],
+    generate: Callable[..., NDArray[np.float64]],
     statistic: Callable[[NDArray[np.float64]], ArrayLike],
 ) -> NDArray[np.float64]:
     """Simulate plan.R replicates, score them with statistic, and sort.
 
-    generate draws one synthetic dataset from the replicate's Generator;
-    every draw must have the first one's shape.  statistic maps a stack of k
-    draws, shape (k, *shape), to k values, each depending on its own draw
-    only; any other number of values is a TypeError.  Results are placed by
-    replicate index before sorting, so the output is identical for any
-    worker count.
+    generate(rng, out=None) draws one synthetic dataset from the replicate's
+    Generator, as numpy's samplers do: replicate 0 and the retries are drawn
+    with out=None, and replicate 0's draw fixes the shape; every other
+    replicate is drawn into its slot of the block, out=slot, and generate
+    must return that same slot, else it is a TypeError.  statistic maps a
+    stack of k draws, shape (k, *shape), to k values, each depending on its
+    own draw only; any other number of values is a TypeError.  Results are
+    placed by replicate index before sorting, so the output is identical for
+    any worker count.
     """
     words = _replicate_words(plan.seed, np.arange(min(plan.R, _SEED_CHUNK), dtype=np.uint32))
     seeded = _seeded()
@@ -168,11 +171,12 @@ def run_replicates(
         # a block ends at its chunk's end: words holds that chunk's rows
         S = np.empty((min(size, plan.R - lo, _SEED_CHUNK - lo % _SEED_CHUNK), *first.shape))
         for i in range(len(S)):
-            r = lo + i
-            x = first if r == 0 else generate(seeded(words[r % _SEED_CHUNK]))
-            if np.shape(x) != first.shape:
-                raise TypeError(f"replicate {r} has shape {np.shape(x)}, not {first.shape}")
-            S[i] = x
+            r, slot = lo + i, S[i, ...]  # a view, also of a 0-d replicate
+            if r == 0:
+                slot[...] = first
+            elif generate(seeded(words[r % _SEED_CHUNK]), out=slot) is not slot:
+                raise TypeError(f"replicate {r} was not drawn into its out array "
+                                f"of shape {first.shape}")
         try:
             values[lo : lo + len(S)] = scored(S)
         except _NUMERIC_FAILURES:

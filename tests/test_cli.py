@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -843,3 +845,120 @@ def test_cli_import_sets_one_blas_thread_unless_the_user_chose(env):
             "print(dict(os.environ) == before)\n" + PRINT_BLAS_THREADS)
     expected = min(2, int(default)) if env else 1
     assert fresh_python(code, **env) == ["True", str(expected)]
+
+
+# ---------------------------------------------------------------------------
+# heap policy
+# ---------------------------------------------------------------------------
+
+#: a setting of each kind that makes the CLI leave glibc's heap thresholds alone
+MALLOC_SETTINGS = {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072",
+                   "MALLOC_TOP_PAD_": "0", "GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}
+
+
+class _Mallopt:
+    """Stands in for libc's mallopt: records each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def _no_malloc_settings(monkeypatch):
+    for var in MALLOC_SETTINGS:
+        monkeypatch.delenv(var, raising=False)
+
+
+def _environment_without_malloc_settings():
+    return {k: v for k, v in os.environ.items() if k not in MALLOC_SETTINGS}
+
+
+@pytest.fixture
+def mallopt(monkeypatch):
+    import ctypes
+
+    recorder = _Mallopt()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=recorder))
+    _no_malloc_settings(monkeypatch)
+    return recorder
+
+
+@pytest.mark.parametrize("tunables", [None, "glibc.rtld.optional_static_tls=2048"],
+                         ids=["plain", "other_tunable"])
+def test_main_sets_the_heap_thresholds_at_their_ceilings(mallopt, monkeypatch, capsys,
+                                                         tunables):
+    if tunables is not None:
+        monkeypatch.setenv("GLIBC_TUNABLES", tunables)
+    assert main(["test", "--method", "schott", "--input", GOLDEN_20]) == 0
+    assert mallopt.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]  # M_MMAP_, M_TRIM_THRESHOLD
+
+
+@pytest.mark.parametrize("var, value", MALLOC_SETTINGS.items(), ids=list(MALLOC_SETTINGS))
+def test_a_user_malloc_setting_wins(mallopt, monkeypatch, capsys, var, value):
+    monkeypatch.setenv(var, value)
+    assert main(["test", "--method", "schott", "--input", GOLDEN_20]) == 0
+    assert mallopt.calls == []
+
+
+def _no_libc(name):
+    raise OSError("no libc here")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: SimpleNamespace()],
+                         ids=["no_libc", "no_mallopt"])
+def test_no_mallopt_is_no_error(monkeypatch, capsys, cdll):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    _no_malloc_settings(monkeypatch)
+    assert main(["test", "--method", "schott", "--input", GOLDEN_20]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("\tSchott test") and err == ""
+
+
+def test_importing_the_cli_sets_no_heap_threshold():
+    # a program that imports ellipsym.cli, say for ingest_csv, keeps its allocator
+    code = f"""
+import ctypes
+looked_up = []
+
+class Recording(ctypes.CDLL):
+    def __getattr__(self, name):
+        looked_up.append(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = Recording
+import ellipsym.cli
+print(looked_up.count("mallopt"))
+assert ellipsym.cli.main(["test", "--method", "schott", "--input", {GOLDEN_20!r}]) == 0
+print(looked_up.count("mallopt"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_environment_without_malloc_settings(), check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "1")  # the report block lies between
+
+
+def _minor_faults(argv, env) -> int:
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, argv
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4") or platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is glibc's")
+def test_rolling_hp_does_not_refault_each_replicate_block(tmp_path):
+    # without the policy glibc trims each block's freed temporaries and the
+    # next block faults them back in: about 8 times an import's faults
+    path = write_csv(tmp_path / "x.csv", sample_mvn(np.zeros(2), np.eye(2), 600, seed=3),
+                     ["x1", "x2"])
+    env = _environment_without_malloc_settings()
+    base = _minor_faults([sys.executable, "-c", "import ellipsym.cli, numpy.random"], env)
+    faults = _minor_faults([sys.executable, "-m", "ellipsym.cli", "rolling", "--method", "hp",
+                            "--c", "3", "--window", "120", "--step", "40", "--input", path], env)
+    assert faults < 2 * base, (faults, base)

@@ -547,8 +547,8 @@ def test_ks_reference_is_block_independent():
     singular = 7
     singular_draw = base(naive.numpy_replicate_rng(seed, singular))
 
-    def generate(rng):
-        x = base(rng)
+    def generate(rng, out=None):
+        x = base(rng, out)
         if np.array_equal(x, singular_draw):  # replicate `singular`'s base stream
             x[:, 2] = x[:, 0] - x[:, 1]  # rank-deficient covariance
         return x

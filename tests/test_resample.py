@@ -20,6 +20,14 @@ from ellipsym import resample
 from ellipsym.resample import _replicate_words, _seeded
 
 
+def _into(x, out):
+    """x, or x copied into the engine's out array when it passes one."""
+    if out is None:
+        return x
+    out[...] = x
+    return out
+
+
 def test_plan_validation():
     BootstrapPlan(R=1, seed=0)
     with pytest.raises(UsageError):
@@ -47,7 +55,7 @@ def test_plan_normalizes_numpy_integers():
     plan = BootstrapPlan(R=np.int32(4), seed=np.int64(3), workers=np.uint8(1))
     assert [type(v) for v in (plan.R, plan.seed, plan.workers)] == [int, int, int]
     assert BootstrapPlan(R=2**32, seed=0).R == 2**32  # the largest count the hash takes
-    draw = lambda rng: rng.uniform(size=2)  # noqa: E731
+    draw = lambda rng, out=None: _into(rng.uniform(size=2), out)  # noqa: E731
     got = run_replicates(plan, draw, lambda S: S.sum(axis=1))
     expected = np.sort([draw(numpy_replicate_rng(3, r)).sum() for r in range(4)])
     assert np.array_equal(got, expected)
@@ -107,8 +115,8 @@ def test_import_does_not_load_numpy_random():
 def test_replicates_sorted_and_worker_independent():
     # 5000 cells per replicate: blocks of BLOCK_CELLS // 5000 = 6, so R = 40
     # spans several blocks and ends on a partial one
-    def generate(rng):
-        return rng.standard_normal(5000)
+    def generate(rng, out=None):
+        return rng.standard_normal(5000, out=out)
 
     def statistic(S):
         return S[:, 0] * S[:, -1]
@@ -134,9 +142,9 @@ def test_chunked_seed_words_give_the_same_replicates(monkeypatch, chunk):
     for workers in (1, 2):
         calls = []
 
-        def generate(rng):
+        def generate(rng, out=None):
             calls.append(1)
-            return rng.standard_normal(5000)
+            return rng.standard_normal(5000, out=out)
 
         plan = BootstrapPlan(R=40, seed=5, workers=workers)
         got = run_replicates(plan, generate, lambda S: S[:, 0] * S[:, -1])
@@ -151,7 +159,8 @@ def test_seed_words_are_hashed_a_chunk_at_a_time():
     plan = BootstrapPlan(R=2**17, seed=0, workers=1)
     tracemalloc.start()
     try:
-        values = run_replicates(plan, lambda rng: np.zeros(1), lambda S: S[:, 0])
+        values = run_replicates(plan, lambda rng, out=None: _into(np.zeros(1), out),
+                                lambda S: S[:, 0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -162,8 +171,8 @@ def test_seed_words_are_hashed_a_chunk_at_a_time():
 def test_blocks_under_thread_contention():
     # blocks of 2 replicates on more threads than cores, switching threads
     # often: a lost or misplaced block write would change the output
-    def generate(rng):
-        return rng.standard_normal(2**14)
+    def generate(rng, out=None):
+        return rng.standard_normal(2**14, out=out)
 
     plan = BootstrapPlan(R=101, seed=5, workers=16)
     out = {}
@@ -189,9 +198,9 @@ def test_retry_uses_fresh_stream():
     base0 = numpy_replicate_rng(9, 0).uniform(size=3)
     generated = []
 
-    def generate(rng):
+    def generate(rng, out=None):
         generated.append(rng.uniform(size=3))
-        return generated[-1]
+        return _into(generated[-1], out)
 
     def statistic(S):
         if any(np.array_equal(x, base0) for x in S):
@@ -207,8 +216,8 @@ def test_retry_uses_fresh_stream():
 
 
 def test_double_failure_is_fatal():
-    def generate(rng):
-        return rng.uniform(size=2)
+    def generate(rng, out=None):
+        return _into(rng.uniform(size=2), out)
 
     def statistic(S):
         raise FloatingPointError("always")
@@ -221,8 +230,8 @@ def test_double_failure_is_fatal():
 def test_programming_error_is_not_retried():
     raised = []
 
-    def generate(rng):
-        return rng.uniform(size=2)
+    def generate(rng, out=None):
+        return _into(rng.uniform(size=2), out)
 
     def statistic(S):
         raised.append(TypeError("not a numeric failure"))
@@ -249,14 +258,51 @@ def test_statistic_must_return_one_value_per_replicate(statistic):
 
     plan = BootstrapPlan(R=4, seed=2, workers=1)
     with pytest.raises(TypeError, match="for 4 replicates"):
-        run_replicates(plan, lambda rng: rng.uniform(size=3), counted)
+        run_replicates(plan, lambda rng, out=None: _into(rng.uniform(size=3), out), counted)
     assert calls == [4]  # refused without scoring alone or retrying
 
 
 def test_replicate_shapes_must_match():
-    def generate(rng):
+    # a replicate of another shape than replicate 0's cannot be its slot
+    def generate(rng, out=None):
         return rng.uniform(size=3 if rng.uniform() < 0.5 else 1)
 
     plan = BootstrapPlan(R=50, seed=0, workers=1)
-    with pytest.raises(TypeError, match="shape"):
+    with pytest.raises(TypeError, match=r"replicate [1-9]\d* was not drawn into its out "
+                                        r"array of shape \([13],\)"):
         run_replicates(plan, generate, lambda S: S.sum(axis=1))
+
+
+def test_replicates_must_be_drawn_into_their_slot():
+    # a draw of the right shape that ignores out would leave its slot unwritten
+    scored = []
+
+    def generate(rng, out=None):
+        return rng.uniform(size=3)
+
+    plan = BootstrapPlan(R=5, seed=0, workers=1)
+    with pytest.raises(TypeError, match=r"replicate 1 was not drawn into its out array "
+                                        r"of shape \(3,\)"):
+        run_replicates(plan, generate, lambda S: scored.append(S) or S.sum(axis=1))
+    assert scored == []  # refused before the block is scored
+
+
+def test_replicate_zero_and_retries_are_drawn_without_out():
+    outs = []
+
+    def generate(rng, out=None):
+        outs.append(out)
+        return rng.standard_normal(3, out=out)
+
+    def statistic(S):
+        if len(S) > 1:
+            raise FloatingPointError("score each replicate alone")
+        if S[0, 0] == first[0]:
+            raise FloatingPointError("retry replicate 0")
+        return S[:, 0]
+
+    first = numpy_replicate_rng(4, 0).standard_normal(3)
+    plan = BootstrapPlan(R=4, seed=4, workers=1)
+    run_replicates(plan, generate, statistic)
+    assert outs[0] is None and outs[-1] is None  # replicate 0, then its retry
+    assert len(outs) == 5 and all(out.shape == (3,) for out in outs[1:4])
