@@ -149,19 +149,29 @@ def _rows(lines):
         raise ParseError(f"row {i + 1}: {exc}") from None
 
 
-def _resolve_columns(columns, names, lines) -> list:
+def _named(names, token: str, remedy: str = "select it by index"):
+    """The 0-based index of column name ``token`` in the header ``names``, or
+    None if there is no header or it does not hold the name; a name the header
+    holds more than once is a UsageError that ends with ``remedy``."""
+    count = 0 if names is None else names.count(token)
+    if count > 1:
+        raise UsageError(f"column name {token!r} appears {count} times in the header; {remedy}")
+    return names.index(token) if count else None
+
+
+def _resolve_columns(columns, names, lines, skip=None) -> list:
     """0-based indices for names or 1-based indices, up to the first row's
-    width; a header is a row like the others, so it must have that width."""
+    width, or without ``columns`` every column but ``skip``; a header is a row
+    like the others, so it must have that width."""
     width = len(next(_rows(lines)))
     if names is not None and len(names) != width:
         raise ParseError(f"header has {len(names)} fields, expected {width}")
-    if columns is None:
-        return list(range(width))
-    out = []
-    for token in columns:
+    out = [j for j in range(width) if j != skip] if columns is None else []
+    for token in columns or []:
         token = token.strip()
-        if names is not None and token in names:
-            out.append(names.index(token))
+        j = _named(names, token)
+        if j is not None:
+            out.append(j)
             continue
         try:
             j = int(token)
@@ -209,7 +219,7 @@ def _located_matrix(names, rows, selection) -> np.ndarray:
             raise ParseError(f"row {i} has {len(row)} fields, expected {width}")
         for k, j in enumerate(selection):
             cell = row[j].strip()
-            label = names[j] if names else str(j + 1)
+            label = names[j] if names and names[j] else str(j + 1)
             if cell == "" or cell.upper() in ("NA", "NAN"):
                 raise DataError(f"missing value at row {i}, column {label}")
             try:
@@ -228,14 +238,10 @@ def _ingest(path: str, has_header: bool, columns, label: Optional[str] = None):
     """(X, labels): the validated sample, and the stripped cells of the header
     column ``label`` (None without one), which cannot be a tested column."""
     names, lines = read_table(path, has_header)
-    index = None
-    if label is not None:
-        if names is None or label not in names:
-            raise UsageError(f"date column {label!r} not found in header")
-        index = names.index(label)
-        if columns is None:
-            columns = [c for c in names if c != label]
-    selection = _resolve_columns(columns, names, lines)
+    index = None if label is None else _named(names, label, "rename one of them")
+    if label is not None and index is None:
+        raise UsageError(f"date column {label!r} not found in header")
+    selection = _resolve_columns(columns, names, lines, index)
     if index in selection:
         raise UsageError(f"date column {label!r} cannot be tested")
     X = validate_sample(_numeric_matrix(names, lines, selection))
@@ -263,7 +269,7 @@ def _split_tokens(text: str) -> list:
 
 
 #: --method -> the name of its library function, looked up in this module's
-#: globals at each call, so a function rebound here is the one that runs
+#: globals when ``_method`` runs, so a function rebound here is the one that runs
 _METHODS = {"ks": "ks_test", "mpq": "mpq_test", "schott": "schott_test",
             "hp": "huffer_park_test", "pg": "pseudo_gaussian_test", "so": "skew_optimal_test"}
 
@@ -317,11 +323,6 @@ def _method(args):
     return function, _options(f"--method {args.method}", function, args, _METHOD_FLAGS)
 
 
-def _run_method(X: np.ndarray, args) -> TestResult:
-    function, options = _method(args)
-    return function(X, **options)
-
-
 def format_text_block(result: TestResult, data_name: str) -> str:
     """The classic hypothesis-test report block."""
     return (
@@ -349,9 +350,9 @@ def _output(path: Optional[str]):
 
 
 def cmd_test(args) -> int:
-    _method(args)  # an option the method does not read stops before any work
+    function, options = _method(args)  # an option the method does not read stops here
     X, _ = _ingest(args.input, not args.no_header, args.columns)
-    result = _run_method(X, args)
+    result = function(X, **options)
     if args.format == "json":
         print(json.dumps(result.describe(), indent=2))
     else:
@@ -361,7 +362,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_rolling(args) -> int:
-    _method(args)
+    function, options = _method(args)
     if args.step < 1:
         raise UsageError(f"--step must be at least 1, got {args.step}")
     X, labels = _ingest(args.input, not args.no_header, args.columns, args.date_column)
@@ -376,7 +377,7 @@ def cmd_rolling(args) -> int:
     with _output(args.out) as fh:  # an unwritable --out fails before any window
         out_rows = []
         for start in range(0, n - window + 1, step):
-            result = _run_method(X[start : start + window], args)
+            result = function(X[start : start + window], **options)
             out_rows.append((start + 1, start + window, labels[start],
                              f"{result.statistic:.10g}", f"{result.p_value:.10g}"))
         header = ["start", "end", "label", "statistic", "p_value"]

@@ -306,6 +306,9 @@ def schott_test(X) -> TestResult:
         + beta2 * quad
         - (3.0 * beta1 + (d + 2) * beta2) * d * (d + 2) * kap1**2
     )
+    # the Wald form is a nonnegative quadratic form expanded into three terms
+    # that can cancel, on small samples, to a few ULPs below zero
+    stat = 0.0 if stat <= 0.0 else stat
 
     df = schott_df(d)
     law = NullLaw.chi2(df)

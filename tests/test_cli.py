@@ -151,6 +151,21 @@ def test_ingest_error_messages(tmp_path):
                    columns=["zz"])
 
 
+def test_a_repeated_header_name_must_be_selected_by_index(tmp_path, capsys):
+    X = sample_mvn(np.zeros(3), np.eye(3), 30, seed=1)
+    p = write_csv(tmp_path / "dup.csv", [[f"{v:.17g}" for v in row] for row in X],
+                  header=["x", "y", "x"])
+    assert main(["test", "--method", "schott", "--input", p, "--columns", "x,y"]) == 2
+    assert capsys.readouterr().err == (
+        "ellipsym: error: column name 'x' appears 2 times in the header; "
+        "select it by index\n")
+    # by index the same file runs, on the columns asked for
+    assert main(["test", "--method", "schott", "--input", p, "--columns", "3,2",
+                 "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["statistic"] == schott_test(X[:, [2, 1]]).statistic
+
+
 # (csv text, has header, columns, expected message or None for a matrix)
 PARSE_CASES = {
     "quoted": ('a,b\n"1.5","2"\n"3",4\n', True, None, None),
@@ -168,6 +183,7 @@ PARSE_CASES = {
     "abc": ("a,b\n1,2\n3,abc\n", True, None,
             "non-numeric value 'abc' at row 2, column b"),
     "ragged": ("a,b\n1,2\n3\n5,6\n", True, None, "row 2 has 1 fields, expected 2"),
+    "unnamed_column": ("x,,z\n1,2,3\n4,,6\n", True, None, "missing value at row 2, column 2"),
     "abc_before_ragged": ("1,2\nabc,4\n5\n", False, None,
                           "non-numeric value 'abc' at row 2, column 1"),
     "quoted_newline": ('a,b\n"1\n",2\n3,4\n', True, None, None),
@@ -410,6 +426,16 @@ def test_cmd_test_text_output(capsys):
     assert out.startswith("\tSchott test for elliptical symmetry\n")
     assert "data:  golden_20x2\n" in out
     assert out.endswith("not elliptically symmetric\n")
+
+
+def test_schott_statistic_that_cancels_below_zero_exits_0(tmp_path, capsys):
+    # the expanded Wald form of these rows is -5.7e-14 in double precision
+    p = write_csv(tmp_path / "four.csv", [["3", "-1"], ["-1", "0"], ["0", "0"], ["-2", "1"]],
+                  header=["a", "b"])
+    assert main(["test", "--method", "schott", "--input", p]) == 0
+    captured = capsys.readouterr()
+    assert "\nstatistic = 0, p-value = 1\n" in captured.out
+    assert captured.err == ""
 
 
 def test_cmd_test_json_output(capsys):
@@ -676,6 +702,29 @@ def test_rolling_date_column_not_testable(tmp_path, capsys):
     assert "cannot be tested" in capsys.readouterr().err
 
 
+def test_rolling_date_column_selects_the_other_columns_by_position(tmp_path, capsys):
+    # both other columns are named x: without --columns they are taken by position
+    X = sample_mvn(np.zeros(2), np.eye(2), 10, seed=2)
+    rows = [[f"d{i}"] + [f"{v:.17g}" for v in row] for i, row in enumerate(X)]
+    p = write_csv(tmp_path / "day.csv", rows, header=["day", "x", "x"])
+    argv = ["rolling", "--method", "schott", "--input", p, "--window", "5", "--step", "5",
+            "--date-column", "day"]
+    assert main(argv) == 0
+    implicit = rolling_rows(capsys)
+    assert main([*argv, "--columns", "2,3"]) == 0
+    assert implicit == rolling_rows(capsys)
+    assert [r[2] for r in implicit] == ["d0", "d5"]
+
+
+def test_rolling_repeated_date_column_name_exits_2(tmp_path, capsys):
+    p = write_csv(tmp_path / "dd.csv", [["1", "2", "3"]] * 6, header=["day", "x", "day"])
+    assert main(["rolling", "--method", "schott", "--input", p, "--window", "5",
+                 "--step", "5", "--date-column", "day"]) == 2
+    assert capsys.readouterr().err == (
+        "ellipsym: error: column name 'day' appears 2 times in the header; "
+        "rename one of them\n")
+
+
 def test_rolling_has_no_format_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rolling", "--method", "schott", "--input", rolling_input(tmp_path),
@@ -715,14 +764,33 @@ def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
 
 
 def test_unwritable_rolling_out_fails_before_any_window(tmp_path, capsys, monkeypatch):
-    def never(X, args):
+    def never(X):
         raise AssertionError("a window ran before --out was opened")
 
-    monkeypatch.setattr(cli, "_run_method", never)
+    monkeypatch.setattr(cli, "schott_test", never)
     out = tmp_path / "missing" / "dir" / "out.csv"
     assert main(["rolling", "--method", "schott", "--input", rolling_input(tmp_path),
                  "--window", "5", "--step", "5", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"ellipsym: error: cannot write {out}:")
+
+
+def test_each_command_resolves_its_method_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(args):
+        calls.append(args.method)
+        return resolve(args)
+
+    resolve = cli._method
+    monkeypatch.setattr(cli, "_method", counted)
+    assert main(["test", "--method", "schott", "--input", GOLDEN_20]) == 0
+    assert calls == ["schott"]
+    capsys.readouterr()
+    calls.clear()
+    assert main(["rolling", "--method", "so", "--input", rolling_input(tmp_path, n=17),
+                 "--window", "5", "--step", "1"]) == 0
+    assert len(rolling_rows(capsys)) == 13
+    assert calls == ["so"]
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,17 @@ def test_schott_golden(golden_20x2):
     assert relclose(schott_test(golden_20x2).statistic, GOLDEN_20["schott"], 1e-10)
 
 
+#: four rows whose Schott statistic is 8e-59 in 60-digit arithmetic; its
+#: expanded double-precision Wald form cancels to -5.7e-14
+SCHOTT_CANCELS = np.array([[3.0, -1.0], [-1.0, 0.0], [0.0, 0.0], [-2.0, 1.0]])
+
+
+def test_schott_statistic_that_cancels_below_zero_reads_zero():
+    result = schott_test(SCHOTT_CANCELS)
+    assert result.statistic == 0.0 and math.copysign(1.0, result.statistic) == 1.0
+    assert result.p_value == 1.0
+
+
 def test_hp_golden(golden_20x2):
     with pytest.warns(UserWarning):  # 12 cells for 20 points
         r = huffer_park_test(golden_20x2, 3, R=25, seed=0, workers=1)
